@@ -2,15 +2,13 @@
 
 The acceptance gate for :mod:`repro.fleet`: aggregate throughput of a
 4-worker fleet serving batch-granular tenant requests must reach at
-least 2.5x the single-daemon per-image figure tracked in
-``BENCH_serving.json``.  The gate anchors on the committed figure (the
-full-length measurement the serving bench produced on this machine);
-the same per-image load is also re-measured in-run and reported, both
-for machine fairness and as the fallback baseline when the committed
-artifact is absent.  The in-run number is deliberately not the gate:
-the closed-loop per-image baseline is bimodal (waves either stay
-phase-locked into full batches or split and idle out ``max_wait_ms``),
-so gating on it would make the floor a coin flip.
+least 2.5x the single-daemon per-image throughput, measured in the same
+run on the same host with the ``BENCH_serving.json`` load shape.  The
+gate compares like with like: the committed ``BENCH_serving.json``
+figure was measured on whichever machine last wrote it, so dividing
+this host's fleet throughput by it gates on the host rather than on
+the fleet.  The committed figure is still reported next to the in-run
+one, for context.
 
 The fleet's unit of admission is a whole image block (one ``run_batch``
 per block at ``max_batch == block``), so results are bit-identical to
@@ -73,7 +71,7 @@ REDUCED_FLOOR = 1.5
 BASELINE_CONCURRENCY = 32
 BASELINE_REQUESTS = 1024
 
-#: the committed single-daemon measurement the gate anchors on
+#: the committed single-daemon measurement, reported for context only
 SERVING_ARTIFACT = Path(__file__).resolve().parent.parent / (
     "BENCH_serving.json"
 )
@@ -172,7 +170,6 @@ def test_fleet_throughput_vs_single_daemon(tmp_path):
             artifact, min(requests, BASELINE_REQUESTS)
         )
         committed_rate = _committed_serving_rate()
-        baseline_rate = committed_rate or in_run_rate
 
         config = FleetConfig(
             workers=WORKERS,
@@ -215,7 +212,7 @@ def test_fleet_throughput_vs_single_daemon(tmp_path):
         assert np.array_equal(logits, oracle)
 
     fleet_rate = requests / fleet_seconds
-    speedup = fleet_rate / baseline_rate
+    speedup = fleet_rate / in_run_rate
     counters = status["counters"]
     assert counters["worker_deaths"] == 0
     update_bench_artifact(
@@ -228,24 +225,22 @@ def test_fleet_throughput_vs_single_daemon(tmp_path):
             "clients": CLIENTS,
             "channels": list(CHANNELS),
             "image_size": IMAGE_SIZE,
-            "single_daemon_images_per_second": float(baseline_rate),
-            "single_daemon_in_run_images_per_second": float(in_run_rate),
+            "single_daemon_images_per_second": float(in_run_rate),
             "single_daemon_committed_images_per_second": committed_rate,
             "fleet_images_per_second": float(fleet_rate),
             "speedup": float(speedup),
-            "speedup_vs_in_run": float(fleet_rate / in_run_rate),
             "floor": float(floor),
             "dispatched": counters["dispatched"],
             "rebalanced": counters["rebalanced"],
         },
         headline="speedup",
     )
-    anchor = "committed" if committed_rate else "in-run"
+    committed = f"{committed_rate:.0f}" if committed_rate else "none"
     print(
         f"\nfleet of {WORKERS} served {requests} images in blocks of "
         f"{BLOCK}: {fleet_rate:.0f} img/s aggregate vs single-daemon "
-        f"{baseline_rate:.0f} img/s per-image ({anchor}; in-run "
-        f"{in_run_rate:.0f}) -> {speedup:.1f}x "
+        f"{in_run_rate:.0f} img/s per-image in-run (committed "
+        f"{committed}) -> {speedup:.1f}x "
         f"({counters['dispatched']} dispatches, "
         f"{counters['rebalanced']} rebalances)"
     )

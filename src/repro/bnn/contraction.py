@@ -6,7 +6,7 @@ integer contractions, which makes them embarrassingly parallel: any
 tiling over the ``batch x out_channel`` output grid produces the same
 integers because every partial sum of either strategy is a small exact
 integer (so even the BLAS ``gemm`` strategy is reassociation-proof).
-This module supplies the two pieces that turn that observation into the
+This module supplies the pieces that turn that observation into the
 serving hot path:
 
 * **a shared worker pool** — the ``workers=`` fan-out idiom of
@@ -27,6 +27,11 @@ serving hot path:
   input is packed once per *pixel* and patch words are assembled by
   gathering/shifting those per-pixel codes (64x less data through the
   im2col gather); otherwise the pack runs over bounded row tiles.
+* **a bit-emitting contraction** — given a per-channel
+  :class:`BitThreshold` (the folded batch norm / RPReLU / RSign glue of
+  :mod:`repro.infer.plan`), :func:`contract_packed_patches` compares
+  each exact dot product in the tile that produced it and returns the
+  next conv's input bits instead of integers.
 
 Telemetry: every contraction records per-strategy call/tile/second
 counters into a :class:`ContractionTelemetry`, surfaced by
@@ -40,18 +45,21 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .packing import WORD_BITS, pack_bits, packed_dot, packed_words, unpack_bits
 
 __all__ = [
+    "BitThreshold",
     "ContractionTelemetry",
+    "SignOperand",
     "contract_packed_patches",
     "default_threads",
     "resolve_strategy",
     "shared_pool",
+    "sign_operand",
     "threshold_pack_patches",
     "tile_spans",
 ]
@@ -401,9 +409,16 @@ def threshold_pack_patches(
     where ``patch_words`` has shape ``(N, out_h, out_w, words)`` —
     bit-identical to ``pack_bits(im2col_bits(binarize_bits(x - shift),
     ...))`` with neither the float subtraction nor the full uint8 patch
-    tensor ever materialised.
+    tensor ever materialised.  A ``uint8`` ``x`` holds bits already
+    thresholded upstream (a contraction's folded
+    :class:`BitThreshold` output) and is packed as it is.
     """
-    bits = _threshold_bits(np.asarray(x, dtype=np.float32), shift)
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        if shift is not None:
+            raise ValueError("thresholded bits take no shift")
+        return pack_input_patches(x, kernel, stride, padding)
+    bits = _threshold_bits(x.astype(np.float32, copy=False), shift)
     return pack_input_patches(bits, kernel, stride, padding)
 
 
@@ -433,6 +448,65 @@ def pack_input_patches(
 # ----------------------------------------------------------------------
 # Tiled contraction
 # ----------------------------------------------------------------------
+#: target size of one gemm tile's float {0, 1} patch plane
+_GEMM_TILE_BYTES = 2 << 20
+
+#: a gemm tile never holds fewer rows than this: every tile streams the
+#: whole weight operand through BLAS once, and a deep layer's 9216-bit
+#: patch rows would fill the byte target in 56 rows, re-streaming its
+#: 38 MB weight matrix for every 56 output pixels
+_GEMM_MIN_ROWS = 1024
+
+
+class SignOperand(NamedTuple):
+    """The gemm strategy's weight operand, built once per weight version.
+
+    ``signs_t`` is the position-major {+1, -1} float32 weight matrix as
+    a transposed ``(num_bits, out)`` view, which BLAS contracts patches
+    against through its transpose flag (no copy, and no slower than a
+    contiguous transpose); ``sums`` holds its per-output-channel sums.  The gemm
+    contracts {0, 1} patch bits ``b`` into ``z = b . W``, and the Eq. 2
+    dot product over {+1, -1} semantics is then ``y = 2 z - sums``.
+    """
+
+    signs_t: np.ndarray
+    sums: np.ndarray
+
+
+def sign_operand(bits: np.ndarray) -> SignOperand:
+    """:class:`SignOperand` of ``(out, num_bits)`` {0, 1} weight bits."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    signs = bits.astype(np.float32)
+    signs *= 2.0
+    signs -= 1.0  # a 0 bit decodes to -1 (Sec. IV-B)
+    sums = 2 * np.count_nonzero(bits, axis=1) - bits.shape[1]
+    return SignOperand(signs.T, sums.astype(np.float32))
+
+
+class BitThreshold(NamedTuple):
+    """A per-output-channel integer threshold on the Eq. 2 dot product.
+
+    Output bit ``c`` is ``(y_c >= at_least[c]) != flip[c]``: an ascending
+    channel keeps ``y >= t``, a descending one stores ``y <= t`` as
+    ``not (y >= t + 1)``.  ``flip`` is ``None`` when every channel
+    ascends.  A contraction given one emits {0, 1} bits instead of the
+    integers (the folded glue of :mod:`repro.infer.plan`).
+    """
+
+    at_least: np.ndarray
+    flip: Optional[np.ndarray]
+
+
+def _apply_threshold(
+    values: np.ndarray, at_least: np.ndarray, flip: Optional[np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """``out = (values >= at_least) != flip``, row-broadcast, in place."""
+    np.greater_equal(values, at_least, out=out)
+    if flip is not None:
+        np.not_equal(out, flip, out=out)
+
+
 def contract_packed_patches(
     patch_words: np.ndarray,
     w_words: Optional[np.ndarray],
@@ -440,7 +514,8 @@ def contract_packed_patches(
     strategy: str,
     threads: int,
     out_channel_chunk: int,
-    kernel_signs: Optional[np.ndarray] = None,
+    kernel_signs: Optional[SignOperand] = None,
+    threshold: Optional[BitThreshold] = None,
     telemetry: Optional[ContractionTelemetry] = None,
 ) -> np.ndarray:
     """Contract packed patches against packed weights, tiled and threaded.
@@ -451,70 +526,91 @@ def contract_packed_patches(
     ``kernel_signs`` is supplied).  Returns the exact Eq. 2 integer dot
     products with shape ``(..., out)`` as ``int32`` — identical for
     every strategy, thread count and tiling, because every partial sum
-    is a small exact integer.
+    is a small exact integer.  With a ``threshold`` the result is
+    instead the ``uint8`` {0, 1} bits it selects, same shape.
 
     ``popcount`` tiles over ``batch x out_channel`` (the xor
-    intermediate of a tile is bounded by ``out_channel_chunk``);
-    ``gemm`` tiles over batch only — each tile unpacks its patch words
-    to the {+1, -1} plane once and contracts it with BLAS against
-    ``kernel_signs`` (built per weight version by the caller), so both
-    strategies consume the *same* packed patches and the old per-call
-    ``bit_signs(patches)`` float pass over the whole tensor is gone.
+    intermediate of a tile is bounded by ``out_channel_chunk``).
+    ``gemm`` tiles over rows sized to a ~2 MB float patch plane (never
+    fewer than 1024 rows): each tile unpacks its patch words to {0, 1}
+    floats and contracts them with BLAS against ``kernel_signs``, the
+    transposed sign matrix built per weight version by the caller.
+    Every ``z = b . W`` is an exact integer below 2**24, so the
+    {+1, -1} correction ``y = 2 z - sums`` — or, with a threshold, the
+    same comparison moved into the ``z`` domain — stays exact.
     """
     started = time.perf_counter()
     lead_shape = patch_words.shape[:-1]
     if strategy == "gemm" and kernel_signs is None:
         if w_words is None:
             raise ValueError("gemm needs kernel_signs or packed weights")
-        kernel_signs = (
-            unpack_bits(w_words, num_bits).astype(np.float32) * 2.0 - 1.0
-        )
+        kernel_signs = sign_operand(unpack_bits(w_words, num_bits))
     out_ch = (
-        kernel_signs.shape[0] if strategy == "gemm" else w_words.shape[0]
+        kernel_signs.signs_t.shape[1]
+        if strategy == "gemm"
+        else w_words.shape[0]
     )
     flat = patch_words.reshape(-1, patch_words.shape[-1])
     rows = flat.shape[0]
-    out = np.empty((rows, out_ch), dtype=np.int32)
+    if threshold is None:
+        out = np.empty((rows, out_ch), dtype=np.int32)
+    else:
+        out = np.empty((rows, out_ch), dtype=np.bool_)
 
     threads = max(1, threads)
-    row_spans = tile_spans(rows, threads)
     tiles = 0
     work: List[Callable[[], None]] = []
 
     if strategy == "gemm":
-        weights_t = np.ascontiguousarray(kernel_signs.T)
-        # BLAS needs a float destination; contract into a scratch and
-        # round-trip to int32 exactly (every value is a small integer)
-        scratch = np.empty((rows, out_ch), dtype=np.float32)
+        signs_t, sums = kernel_signs
+        if threshold is not None:
+            # y >= a  <=>  2 z - sums >= a  <=>  z >= ceil((a + sums) / 2)
+            bound = threshold.at_least + sums.astype(np.int64)
+            z_at_least = (-(-bound // 2)).astype(np.float32)
+        rows_per_tile = max(
+            _GEMM_MIN_ROWS, _GEMM_TILE_BYTES // (4 * max(1, num_bits))
+        )
+        count = max(-(-rows // rows_per_tile), min(threads, rows))
 
         def gemm_tile(row_start: int, row_stop: int) -> None:
-            signs = unpack_bits(
-                flat[row_start:row_stop], num_bits
-            ).astype(np.float32)
-            signs *= 2.0
-            signs -= 1.0
-            np.matmul(signs, weights_t, out=scratch[row_start:row_stop])
+            plane = np.empty((row_stop - row_start, num_bits), np.float32)
+            np.copyto(
+                plane,
+                unpack_bits(flat[row_start:row_stop], num_bits),
+                casting="unsafe",
+            )
+            z = plane @ signs_t
+            if threshold is None:
+                z *= 2.0
+                z -= sums
+                np.copyto(out[row_start:row_stop], z, casting="unsafe")
+            else:
+                _apply_threshold(
+                    z, z_at_least, threshold.flip, out[row_start:row_stop]
+                )
 
-        for row_start, row_stop in row_spans:
+        for row_start, row_stop in tile_spans(rows, count):
             work.append(
                 lambda a=row_start, b=row_stop: gemm_tile(a, b)
             )
             tiles += 1
         _run_tiles(work, threads)
-        np.copyto(out, scratch, casting="unsafe")
     elif strategy == "popcount":
         expanded = flat[:, None, :]  # (rows, 1, words)
+        dots = out if threshold is None else np.empty(
+            (rows, out_ch), dtype=np.int32
+        )
 
         def popcount_tile(
             row_start: int, row_stop: int, ch_start: int, ch_stop: int
         ) -> None:
-            out[row_start:row_stop, ch_start:ch_stop] = packed_dot(
+            dots[row_start:row_stop, ch_start:ch_stop] = packed_dot(
                 w_words[ch_start:ch_stop],
                 expanded[row_start:row_stop],
                 num_bits,
             )
 
-        for row_start, row_stop in row_spans:
+        for row_start, row_stop in tile_spans(rows, threads):
             for ch_start in range(0, out_ch, out_channel_chunk):
                 ch_stop = min(ch_start + out_channel_chunk, out_ch)
                 work.append(
@@ -523,6 +619,8 @@ def contract_packed_patches(
                 )
                 tiles += 1
         _run_tiles(work, threads)
+        if threshold is not None:
+            _apply_threshold(dots, threshold.at_least, threshold.flip, out)
     else:  # pragma: no cover - resolve_strategy guards the public paths
         raise ValueError(f"unknown base strategy {strategy!r}")
 
@@ -530,4 +628,6 @@ def contract_packed_patches(
         telemetry.record(
             strategy, tiles, threads, time.perf_counter() - started
         )
+    if threshold is not None:
+        out = out.view(np.uint8)
     return out.reshape(*lead_shape, out_ch)

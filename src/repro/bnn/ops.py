@@ -28,12 +28,11 @@ from .contraction import (
     pack_input_patches,
     resolve_strategy,
 )
-from .packing import pack_bits, pack_kernel_channels, packed_dot, unpack_bits
+from .packing import pack_bits
 
 __all__ = [
     "CONTRACTION_STRATEGIES",
     "PackedOperand",
-    "bit_signs",
     "conv_output_size",
     "im2col",
     "im2col_bits",
@@ -50,11 +49,11 @@ PackedOperand = Tuple[np.ndarray, int]
 #: how the packed ops contract bits: ``popcount`` is the hardware-faithful
 #: xnor+popcount over 64-bit words (the traffic the hw model simulates);
 #: ``gemm`` evaluates the *same* Eq. 2 dot product as a BLAS contraction
-#: over {+1, -1} bit planes.  Every intermediate of both strategies is a
-#: small exact integer, so their outputs are bit-identical — ``gemm`` is
-#: simply how a CPU without a vector popcount serves fastest.  The
-#: ``*-threaded`` aliases run the same contraction tiled over the shared
-#: worker pool (``batch x out_channel`` tiles, see
+#: of {0, 1} patch bits against {+1, -1} weights.  Every intermediate
+#: of both strategies is a small exact integer, so their outputs are
+#: bit-identical — ``gemm`` is simply how a CPU without a vector
+#: popcount serves fastest.  The ``*-threaded`` aliases run the same
+#: contraction tiled over the shared worker pool (see
 #: :mod:`repro.bnn.contraction`); tiling cannot change the integers, so
 #: every strategy/thread combination stays bit-identical.
 CONTRACTION_STRATEGIES = (
@@ -63,14 +62,6 @@ CONTRACTION_STRATEGIES = (
     "popcount-threaded",
     "gemm-threaded",
 )
-
-
-def bit_signs(bits: np.ndarray) -> np.ndarray:
-    """{0, 1} bits -> {-1.0, +1.0} float32 (0 decodes to -1, Sec. IV-B)."""
-    signs = bits.astype(np.float32)
-    signs *= 2.0
-    signs -= 1.0
-    return signs
 
 
 def _as_packed_kernel(
@@ -201,7 +192,6 @@ def binary_conv2d_packed(
     out_channel_chunk: int = 64,
     strategy: str = "popcount",
     kernel_size: Optional[int] = None,
-    kernel_signs: Optional[np.ndarray] = None,
     threads: Optional[int] = None,
     telemetry: Optional[ContractionTelemetry] = None,
 ) -> np.ndarray:
@@ -218,8 +208,8 @@ def binary_conv2d_packed(
     ``strategy`` picks the contraction (see
     :data:`CONTRACTION_STRATEGIES`): ``popcount`` is the xnor+popcount
     word loop the hardware model mirrors; ``gemm`` computes the same
-    exact integers through a BLAS bit-plane contraction (the fast
-    serving path); the ``*-threaded`` aliases tile the same contraction
+    exact integers through a BLAS contraction (the fast serving path);
+    the ``*-threaded`` aliases tile the same contraction
     over the shared worker pool.  ``out_channel_chunk`` bounds the
     popcount strategy's xor intermediate, mirroring how a real kernel
     tiles over output channels.  ``threads`` pins the tile fan-out (a
@@ -228,11 +218,9 @@ def binary_conv2d_packed(
 
     ``kernel_size`` (prepacked operands only) cross-checks the operand's
     geometry against the input instead of inferring it from the bit
-    count.  ``kernel_signs`` (gemm only) supplies the position-major
-    {+1, -1} weight matrix precomputed by the caller, hoisting the
-    per-call unpack+convert out of the serving hot path; it must match
-    the packed words — the plan engine caches it per weight version.
-    ``telemetry`` collects tile/timing counters per strategy.
+    count.  ``telemetry`` collects tile/timing counters per strategy.
+    (The plan engine calls the contraction directly, with the gemm
+    operand cached per weight version.)
     """
     # validate knobs before any operand conversion work
     base_strategy, threads = resolve_strategy(
@@ -243,9 +231,8 @@ def binary_conv2d_packed(
             f"out_channel_chunk must be positive, got {out_channel_chunk}"
         )
     x_bits = np.asarray(x_bits, dtype=np.uint8)
-    flat_bits: Optional[np.ndarray] = None
     if isinstance(kernel_bits, tuple):
-        w_words, kernel_num_bits, out_ch, kh = _as_packed_kernel(
+        w_words, kernel_num_bits, _, kh = _as_packed_kernel(
             kernel_bits, x_bits.shape[1], kernel_size
         )
     else:
@@ -260,23 +247,10 @@ def binary_conv2d_packed(
         # position-major flatten, the layout im2col produces
         flat_bits = kernel_arr.transpose(0, 2, 3, 1).reshape(out_ch, -1)
         kernel_num_bits = flat_bits.shape[-1]
-        w_words = None
+        w_words = pack_bits(flat_bits)
     patch_words, num_bits = pack_input_patches(x_bits, kh, stride, padding)
     if kernel_num_bits != num_bits:
         raise AssertionError("kernel/patch bit count mismatch")
-
-    if base_strategy == "gemm":
-        if kernel_signs is None:
-            if flat_bits is None:
-                flat_bits = unpack_bits(w_words, kernel_num_bits)
-            kernel_signs = bit_signs(flat_bits)
-        elif kernel_signs.shape != (out_ch, kernel_num_bits):
-            raise ValueError(
-                f"kernel_signs shape {kernel_signs.shape} does not match "
-                f"the operand's ({out_ch}, {kernel_num_bits})"
-            )
-    elif w_words is None:
-        w_words = pack_bits(flat_bits)
     out = contract_packed_patches(
         patch_words,
         w_words,
@@ -284,7 +258,6 @@ def binary_conv2d_packed(
         base_strategy,
         threads,
         out_channel_chunk,
-        kernel_signs=kernel_signs,
         telemetry=telemetry,
     )
     # accumulate position-major and hand back a transposed view: the same
@@ -310,7 +283,6 @@ def binary_dense_packed(
     x_bits: np.ndarray,
     weight_bits: Union[np.ndarray, PackedOperand],
     strategy: str = "popcount",
-    weight_signs: Optional[np.ndarray] = None,
     threads: Optional[int] = None,
     out_channel_chunk: int = 64,
     telemetry: Optional[ContractionTelemetry] = None,
@@ -320,9 +292,9 @@ def binary_dense_packed(
     ``weight_bits`` is either an ``(out, features)`` bit tensor or a
     prepacked ``(words, num_bits)`` pair from
     :func:`~repro.bnn.packing.pack_bits`, which skips per-call weight
-    packing.  ``strategy``, ``weight_signs``, ``threads``,
-    ``out_channel_chunk`` and ``telemetry`` behave exactly as their
-    namesakes in :func:`binary_conv2d_packed`.
+    packing.  ``strategy``, ``threads``, ``out_channel_chunk`` and
+    ``telemetry`` behave exactly as their namesakes in
+    :func:`binary_conv2d_packed`.
     """
     base_strategy, threads = resolve_strategy(
         strategy, threads, CONTRACTION_STRATEGIES
@@ -336,35 +308,20 @@ def binary_dense_packed(
     if isinstance(weight_bits, tuple):
         w_words, weight_num_bits = weight_bits
         w_words = np.asarray(w_words, dtype=np.uint64)
-        flat_bits = None
     else:
         flat_bits = np.asarray(weight_bits, dtype=np.uint8)
         weight_num_bits = flat_bits.shape[-1]
-        w_words = None
+        w_words = pack_bits(flat_bits)
     if num_bits != weight_num_bits:
         raise ValueError(
             f"feature mismatch: {num_bits} vs {weight_num_bits}"
         )
-    if base_strategy == "gemm":
-        if weight_signs is None:
-            if flat_bits is None:
-                flat_bits = unpack_bits(w_words, weight_num_bits)
-            weight_signs = bit_signs(flat_bits)
-        elif weight_signs.shape[-1] != weight_num_bits:
-            raise ValueError(
-                f"weight_signs feature count {weight_signs.shape[-1]} does "
-                f"not match the operand's {weight_num_bits}"
-            )
-    elif w_words is None:
-        w_words = pack_bits(flat_bits)
-    x_words = pack_bits(x_bits)
     return contract_packed_patches(
-        x_words,
+        pack_bits(x_bits),
         w_words,
         num_bits,
         base_strategy,
         threads,
         out_channel_chunk,
-        kernel_signs=weight_signs,
         telemetry=telemetry,
     )

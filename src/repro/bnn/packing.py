@@ -41,16 +41,6 @@ _BYTE_POPCOUNT = np.array(
     [bin(value).count("1") for value in range(256)], dtype=np.uint8
 )
 
-# SWAR (SIMD-within-a-register) popcount constants for 64-bit words.
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
-
 
 def packed_words(num_bits: int) -> int:
     """Number of 64-bit words needed to hold ``num_bits``."""
@@ -68,9 +58,15 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     n = bits.shape[-1]
     words = packed_words(n)
-    padded = np.zeros(bits.shape[:-1] + (words * WORD_BITS,), dtype=np.uint8)
-    padded[..., :n] = bits
-    packed = np.packbits(padded, axis=-1)
+    padded = bits
+    if n != words * WORD_BITS:
+        padded = np.zeros(
+            bits.shape[:-1] + (words * WORD_BITS,), dtype=np.uint8
+        )
+        padded[..., :n] = bits
+    # packbits keeps a transposed input's memory order; the word view
+    # needs the byte axis contiguous
+    packed = np.ascontiguousarray(np.packbits(padded, axis=-1))
     return packed.view(">u8").astype(np.uint64)
 
 
@@ -89,23 +85,17 @@ def unpack_bits(words: np.ndarray, num_bits: int) -> np.ndarray:
 def popcount64(words: np.ndarray) -> np.ndarray:
     """Summed popcount along the last (word) axis.
 
-    Models the NEON ``cnt``+``addv`` reduction used by daBNN kernels.
-    Implemented as the classic SWAR bit-sliced reduction (5 vectorised
-    integer ops per word) rather than a per-byte table gather, which
-    keeps the packed inference hot path free of fancy-indexing traffic;
-    :func:`_popcount64_bytes` retains the table formulation as the
+    Models the NEON ``cnt``+``addv`` reduction used by daBNN kernels,
+    through numpy's native per-word ``bitwise_count``;
+    :func:`_popcount64_bytes` keeps a byte-table formulation as the
     equivalence oracle for tests.
     """
     words = np.asarray(words, dtype=np.uint64)
-    counts = words - ((words >> _S1) & _M1)
-    counts = (counts & _M2) + ((counts >> _S2) & _M2)
-    counts = (counts + (counts >> _S4)) & _M4
-    per_word = (counts * _H01) >> _S56
-    return per_word.sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _popcount64_bytes(words: np.ndarray) -> np.ndarray:
-    """Reference byte-table popcount (the pre-SWAR formulation)."""
+    """Reference byte-table popcount: the test oracle of :func:`popcount64`."""
     words = np.asarray(words, dtype=np.uint64)
     as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
     return _BYTE_POPCOUNT[as_bytes].sum(axis=(-1, -2)).astype(np.int64)

@@ -182,7 +182,9 @@ def _cmd_infer(args: argparse.Namespace) -> str:
 
     lines = [
         f"serving {source} via engine {args.engine!r}",
-        f"plan: {len(plan)} steps, {plan.num_packed_steps} packed",
+        f"plan: {len(plan)} steps, {plan.num_packed_steps} packed, "
+        f"{plan.num_folded_edges} glue edges folded to bits",
+        *(f"  {kind:<12} {label}" for kind, label in plan.describe()),
         f"input: {args.images} images of shape {tuple(input_shape)}, "
         f"batch {args.batch}",
         f"logits: {logits.shape}",
@@ -692,6 +694,8 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for shell-completion tooling and tests)."""
+    from .infer import DEFAULT_CACHE_SIZE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -815,8 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "decides; REPRO_THREADS pins the pool width)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity for artifact plans",
+                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                help="decoded-kernel LRU capacity for artifact plans "
+                     "(default: every packed step)",
             )
         if name == "fleet":
             sub.add_argument(
@@ -867,8 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="per-worker admitted-image bound (default 1024)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity of each worker's plan",
+                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                help="decoded-kernel LRU capacity of each worker's plan "
+                     "(default: every packed step)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,
@@ -950,8 +956,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="thread-pool width for batch execution (default 2)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=8,
-                help="decoded-kernel LRU capacity of the tenant's plan",
+                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                help="decoded-kernel LRU capacity of the tenant's plan "
+                     "(default: every packed step)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,

@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import faults
+from ..infer import DEFAULT_CACHE_SIZE
 from ..serve import QueueFullError, ServeConfig
 from ..store import ArtifactStore, StoreRef
 from .resilience import CircuitBreaker, RetryPolicy
@@ -175,7 +176,7 @@ class _TenantSpec:
 
     artifact: str          # what workers serve (manifest-hash ref if store)
     source: str            # what the caller registered (may be a mutable ref)
-    cache_size: int = 8
+    cache_size: Optional[int] = DEFAULT_CACHE_SIZE
     strategy: str = "gemm"
     threads: Optional[int] = None
 
@@ -403,7 +404,7 @@ class FleetRouter:
         self,
         tenant: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> str:

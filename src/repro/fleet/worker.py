@@ -43,6 +43,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..infer import DEFAULT_CACHE_SIZE
 from ..serve import (
     DaemonClosedError,
     QueueFullError,
@@ -172,7 +173,7 @@ async def _run(conn, name: str, config: ServeConfig) -> None:
                 daemon.register(
                     message["tenant"],
                     message["artifact"],
-                    cache_size=message.get("cache_size", 8),
+                    cache_size=message.get("cache_size", DEFAULT_CACHE_SIZE),
                     strategy=message.get("strategy", "gemm"),
                     threads=message.get("threads"),
                 )

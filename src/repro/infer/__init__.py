@@ -17,6 +17,9 @@ channel-packed kernel words  prepacked ``(words, num_bits)`` operands,
 sign activation feeding the  fused threshold in
 binary conv (Fig. 1 RSign)   :class:`~repro.infer.plan.PackedConvStep`:
                              floats go straight to {0, 1} bits
+BN -> RPReLU -> RSign glue   :class:`~repro.infer.plan.GlueFold`: exact
+between binary convs         per-channel integer thresholds, so a conv
+                             emits the next conv's input bits
 xnor+popcount inner loop     :func:`~repro.bnn.packing.packed_dot`
 (Eq. 2 / Sec. IV-B)          over bit-domain im2col patches, tiled by
                              output channel
@@ -44,7 +47,9 @@ Quickstart::
 
 from .cache import LruCache
 from .plan import (
+    DEFAULT_CACHE_SIZE,
     FloatStep,
+    GlueFold,
     InferencePlan,
     KernelEntry,
     PackedConvStep,
@@ -53,7 +58,9 @@ from .plan import (
 )
 
 __all__ = [
+    "DEFAULT_CACHE_SIZE",
     "FloatStep",
+    "GlueFold",
     "InferencePlan",
     "KernelEntry",
     "LruCache",

@@ -3,11 +3,26 @@
 An :class:`InferencePlan` is the compiled serving form of a BNN: each
 ``RSign -> BinaryConv2d`` pair of the Fig. 1 block structure is lowered
 into one fused :class:`PackedConvStep` — sign/threshold straight to
-{0, 1} bits, bit-domain im2col, xnor+popcount over prepacked
-channel-word kernels (the daBNN layout of Fig. 5) — while the float glue
-(stem, batch norm, RPReLU, pooling, 8-bit head) executes through the
-layers' own eval-mode forward so the plan's logits are bit-identical to
-the float reference oracle.
+{0, 1} bits, bit-domain im2col, an exact integer contraction over
+prepacked channel-word kernels (the daBNN layout of Fig. 5).  The float
+glue between two packed convs (batch norm, RPReLU and the next RSign)
+is folded into per-channel integer thresholds where that is exact, so
+the producing conv emits packed-ready bits; every other float layer —
+the stem, pooling, the 8-bit head, and glue that does not fold — runs
+through the layer's own eval-mode forward.  Either way the plan's
+logits are bit-identical to the float reference oracle.
+
+The fold is exact by construction (the bitpacked-output design of Larq
+Compute Engine, made exhaustive).  A packed conv's outputs are integers
+``y`` in ``{-K, -K+2, ..., K}`` with ``K = k * k * C_in``, so per channel
+the glue followed by the next RSign is a fixed function of at most
+``K + 1`` values.  The compiler evaluates the glue layers' own forward
+and the RSign comparison over all of them; when every channel's bit row
+has at most one transition, that row *is* a threshold ``y >= t`` (or
+``y <= t``) and the edge folds.  Otherwise (a negative RPReLU slope,
+say) the edge keeps the float path.  The compiler decides per edge, and
+the fold is memoised on the glue parameters the way kernels are keyed
+on the weight version.
 
 Plans compile from two sources:
 
@@ -34,56 +49,72 @@ import numpy as np
 
 from ..bnn.binarize import binarize_bits
 from ..bnn.contraction import (
+    BitThreshold,
     ContractionTelemetry,
+    SignOperand,
+    _threshold_bits,
     contract_packed_patches,
     resolve_strategy,
+    sign_operand,
     threshold_pack_patches,
 )
-from ..bnn.layers import BinaryConv2d, BinaryDense, Layer, RSign
-from ..bnn.model import Sequential
-from ..bnn.ops import (
-    CONTRACTION_STRATEGIES,
-    _as_packed_kernel,
-    binary_dense_packed,
-    bit_signs,
+from ..bnn.layers import (
+    BatchNorm2d,
+    BinaryConv2d,
+    BinaryDense,
+    Layer,
+    RPReLU,
+    RSign,
 )
-from ..bnn.packing import pack_kernel_channels, unpack_bits
+from ..bnn.model import Sequential
+from ..bnn.ops import CONTRACTION_STRATEGIES, _as_packed_kernel
+from ..bnn.packing import pack_bits, pack_kernel_channels, unpack_bits
 from ..deploy import ArtifactReader
 from .cache import LruCache
 
 __all__ = [
+    "DEFAULT_CACHE_SIZE",
     "FloatStep",
+    "GlueFold",
     "InferencePlan",
     "KernelEntry",
     "PackedConvStep",
     "PackedDenseStep",
     "PlanStep",
+    "fold_threshold",
 ]
 
+#: ``cache_size`` default of artifact plans and of everything that
+#: builds them (daemon tenants, fleet workers, the CLI): ``None`` sizes
+#: the decoded-kernel LRU to hold every packed step of the artifact
+DEFAULT_CACHE_SIZE: Optional[int] = None
+
+
 class KernelEntry:
-    """One decoded kernel: prepacked operand + lazy gemm sign matrix.
+    """One decoded kernel: prepacked operand + lazy gemm operand.
 
     The unit the plan's caching policy manages.  ``operand`` is the
-    ``(words, num_bits)`` pair the popcount strategy consumes; ``signs``
-    lazily unpacks it into the {+1, -1} float32 matrix the gemm
-    strategy contracts with (once per entry — the same hoist
-    ``prepare()`` gives the packed words).  Because the sign matrix
-    lives *on* the entry, whatever owns the entry bounds it too: an
-    artifact plan's LRU eviction drops both representations together,
-    and a model plan's per-layer memo ties both to the weight version.
+    ``(words, num_bits)`` pair the popcount strategy consumes;
+    ``signs`` lazily unpacks it into the transposed {+1, -1} float32
+    :class:`~repro.bnn.contraction.SignOperand` the gemm strategy
+    contracts with (once per entry — the same hoist ``prepare()`` gives
+    the packed words).  Because the gemm operand lives *on* the entry,
+    whatever owns the entry bounds it too: an artifact plan's LRU
+    eviction drops both representations together, and a model plan's
+    per-layer memo ties both to the weight version.
     """
 
     __slots__ = ("operand", "_signs", "__weakref__")
 
     def __init__(self, operand: Tuple[np.ndarray, int]) -> None:
         self.operand = operand
-        self._signs: Optional[np.ndarray] = None
+        self._signs: Optional[SignOperand] = None
 
-    def signs(self) -> np.ndarray:
-        """The position-major {+1, -1} weight matrix, built on first use."""
+    def signs(self) -> SignOperand:
+        """The gemm operand of the position-major weights, built on first use."""
         if self._signs is None:
             words, num_bits = self.operand
-            self._signs = bit_signs(unpack_bits(words, num_bits))
+            self._signs = sign_operand(unpack_bits(words, num_bits))
         return self._signs
 
 
@@ -97,7 +128,7 @@ class _LayerKernelSource:
     Keyed on the identity of the packed-words array ``prepare()``
     returns: a weight replacement (optimiser step, ``set_weight_bits``)
     yields a new words array and transparently invalidates the entry —
-    sign matrix included.
+    gemm operand included.
     """
 
     def __init__(self, prepare: Callable[[], Tuple[np.ndarray, int]]) -> None:
@@ -111,6 +142,161 @@ class _LayerKernelSource:
         return self._entry
 
 
+def _eval_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """``layer.forward`` with inference semantics, whatever its mode.
+
+    A model flipped back to training mode since compile (e.g.
+    ``model.train()`` between fine-tuning epochs) still executes with
+    inference semantics — batch norm must not consume the serving
+    batch's statistics or corrupt its running buffers — and the mode is
+    left as it was found so training continues unaffected.
+    """
+    if not layer.training:
+        return layer.forward(x)
+    layer.eval()
+    try:
+        return layer.forward(x)
+    finally:
+        layer.train()
+
+
+# ----------------------------------------------------------------------
+# Glue folding
+# ----------------------------------------------------------------------
+#: per-channel elementwise glue a fold may absorb, with the state its
+#: eval forward reads (the fold's memo key)
+_FOLDABLE_GLUE: Dict[type, Callable[[Layer], Tuple]] = {
+    BatchNorm2d: lambda layer: (
+        layer.params["gamma"],
+        layer.params["beta"],
+        layer.running_mean,
+        layer.running_var,
+        layer.eps,
+    ),
+    RPReLU: lambda layer: (
+        layer.params["slope"],
+        layer.params["shift_in"],
+        layer.params["shift_out"],
+    ),
+}
+
+#: table elements evaluated per slice when folding (bounds the transient
+#: float tables of the widest layers to a few MB)
+_FOLD_SLICE = 1 << 20
+
+
+def fold_threshold(
+    glue: Sequence[Layer],
+    shift: Optional[np.ndarray],
+    num_bits: int,
+    channels: int,
+) -> Optional[BitThreshold]:
+    """Fold ``glue`` then ``x >= shift`` into integer thresholds, or ``None``.
+
+    Runs the glue layers' own eval forward, then the RSign comparison
+    the next packed conv applies, over every reachable dot product
+    ``y = -K, -K+2, ..., K`` (``K = num_bits``) of every channel.  Each
+    channel's bit row must have at most one transition; it is then
+    exactly ``y >= t`` (ascending) or ``y <= t`` (descending).  Any
+    channel with more transitions means the edge cannot fold.
+    """
+    levels = np.arange(-num_bits, num_bits + 1, 2)
+    bits = np.empty((channels, levels.size), dtype=np.bool_)
+    span = max(1, _FOLD_SLICE // max(1, channels))
+    for start in range(0, levels.size, span):
+        y = levels[start:start + span].astype(np.float32)
+        x = np.repeat(y[None, None, :, None], channels, axis=1)
+        for layer in glue:
+            x = _eval_forward(layer, x)
+        bits[:, start:start + span] = _threshold_bits(x, shift)[0, :, :, 0]
+    transitions = np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1)
+    if transitions.max(initial=0) > 1:
+        return None
+    ones = np.count_nonzero(bits, axis=1)
+    descending = bits[:, 0] & ~bits[:, -1]
+    # ascending rows are 0...01...1: the first 1 sits at level K + 2 - 2n
+    # (K + 2 when there is none); descending rows are 1...10...0, whose
+    # last 1 is t = 2n - 2 - K, stored as not (y >= t + 1)
+    at_least = np.where(
+        descending, 2 * ones - 1 - num_bits, num_bits + 2 - 2 * ones
+    ).astype(np.int64)
+    return BitThreshold(at_least, descending if descending.any() else None)
+
+
+def _glue_key(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return value
+
+
+class GlueFold:
+    """The float glue between two packed convs, folded where exact.
+
+    ``glue`` are the per-channel layers between the producing conv and
+    the next one (batch norm, RPReLU), ``rsign`` the next conv's RSign
+    (``None`` for a bare binary conv: threshold zero), ``num_bits`` the
+    producing conv's patch bit count ``K`` and ``channels`` its output
+    channels.  :meth:`threshold` is the folded
+    :class:`~repro.bnn.contraction.BitThreshold`, or ``None`` when the
+    edge does not fold and :meth:`forward` runs the glue instead.  The
+    fold is computed at compile time and memoised on every parameter
+    the glue and the RSign read, so in-place edits to a live model's
+    parameters refold on the next call.
+    """
+
+    def __init__(
+        self,
+        glue: Sequence[Layer],
+        rsign: Optional[RSign],
+        num_bits: int,
+        channels: int,
+    ) -> None:
+        self.glue = list(glue)
+        self.rsign = rsign
+        self.num_bits = num_bits
+        self.channels = channels
+        self._memo: Tuple[Any, Optional[BitThreshold]] = (None, None)
+        self.threshold()  # the compile-time fold
+
+    def _state(self) -> Tuple:
+        state: List[Any] = []
+        for layer in self.glue:
+            state.extend(_FOLDABLE_GLUE[type(layer)](layer))
+        if self.rsign is not None:
+            state.append(self.rsign.params["shift"])
+        return tuple(_glue_key(value) for value in state)
+
+    def threshold(self) -> Optional[BitThreshold]:
+        """The folded threshold for the current parameters (memoised)."""
+        key = self._state()
+        memo = self._memo
+        if memo[0] != key:
+            shift = None if self.rsign is None else self.rsign.params["shift"]
+            memo = (
+                key,
+                fold_threshold(self.glue, shift, self.num_bits, self.channels),
+            )
+            self._memo = memo  # one tuple store: safe across threads
+        return memo[1]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The unfolded edge: the glue layers' own eval forward."""
+        for layer in self.glue:
+            x = _eval_forward(layer, x)
+        return x
+
+    def describe(self) -> str:
+        names = [type(layer).__name__ for layer in self.glue]
+        names.append("RSign" if self.rsign is not None else "sign")
+        chain = "+".join(names)
+        if self.threshold() is None:
+            return f"{chain} not folded (float glue)"
+        return f"{chain} folded -> bits"
+
+
+# ----------------------------------------------------------------------
+# Plan steps
+# ----------------------------------------------------------------------
 class PlanStep:
     """One executable stage of a compiled plan."""
 
@@ -123,13 +309,16 @@ class PlanStep:
         """Transform one minibatch; inputs/outputs are dense arrays."""
         raise NotImplementedError
 
+    def describe(self) -> str:
+        return self.label
+
 
 class FloatStep(PlanStep):
-    """The float glue: delegate to a layer's eval-mode forward.
+    """Float glue that does not fold: delegate to a layer's eval forward.
 
     Reusing the layer's own forward (rather than re-deriving an affine
     form) is what makes the plan *bit-identical* to the reference path:
-    batch norm, RPReLU and the 8-bit ends execute the exact same float32
+    the stem, pooling and the 8-bit head execute the exact same float32
     operation sequence in both worlds.
     """
 
@@ -141,36 +330,28 @@ class FloatStep(PlanStep):
         self.label = type(layer).__name__
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        layer = self.layer
-        if not layer.training:
-            return layer.forward(x)
-        # the model was flipped back to training mode since compile
-        # (e.g. model.train() between fine-tuning epochs): execute with
-        # inference semantics — batch norm must not consume the serving
-        # batch's statistics or corrupt its running buffers — but leave
-        # the mode as we found it so training continues unaffected
-        layer.eval()
-        try:
-            return layer.forward(x)
-        finally:
-            layer.train()
+        return _eval_forward(self.layer, x)
 
 
 class PackedConvStep(PlanStep):
     """Fused sign/threshold + bit-packed binary convolution.
 
-    ``shift`` is the preceding RSign's per-channel threshold (``None``
-    for a bare binary conv, whose {+1, -1} input contract makes the
-    threshold zero).  The threshold lowers *directly* into packed patch
+    ``rsign`` is the preceding RSign layer (``None`` for a bare binary
+    conv, whose {+1, -1} input contract makes the threshold zero); its
+    shift is read at run time and lowers *directly* into packed patch
     words via :func:`~repro.bnn.contraction.threshold_pack_patches` —
     one ``x >= shift`` comparison, no ``x - shift`` float intermediate
-    and no full {0, 1} uint8 patch tensor.  The kernel operand comes
-    from ``source`` — either a live layer's
+    and no full {0, 1} uint8 patch tensor.  A ``uint8`` input is bits a
+    folded predecessor already thresholded with that shift.  The kernel
+    operand comes from ``source`` — either a live layer's
     :meth:`~repro.bnn.layers.BinaryConv2d.prepare` or an artifact
     plan's LRU-cached decode — so channel packing is hoisted out of the
-    per-call path.  ``threads`` fans the contraction out over the
-    shared tile pool; ``telemetry`` accumulates per-strategy tile and
-    timing counters for :meth:`InferencePlan.contraction_stats`.
+    per-call path.  ``fold`` (set by the compiler when the step feeds
+    another packed conv) turns the output into those bits, or runs the
+    glue when the edge does not fold.  ``threads`` fans the contraction
+    out over the shared tile pool; ``telemetry`` accumulates
+    per-strategy tile and timing counters for
+    :meth:`InferencePlan.contraction_stats`.
     """
 
     kind = "packed_conv"
@@ -178,12 +359,14 @@ class PackedConvStep(PlanStep):
     def __init__(
         self,
         source: KernelSource,
+        in_channels: int,
+        out_channels: int,
+        kernel_size: int,
         stride: int,
         padding: int,
-        shift: Optional[np.ndarray] = None,
+        rsign: Optional[RSign] = None,
         out_channel_chunk: int = 64,
         strategy: str = "gemm",
-        kernel_size: Optional[int] = None,
         label: str = "BinaryConv2d",
         threads: Optional[int] = None,
     ) -> None:
@@ -192,25 +375,42 @@ class PackedConvStep(PlanStep):
             strategy, threads, CONTRACTION_STRATEGIES
         )
         self.source = source
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.shift = None if shift is None else np.asarray(shift, np.float32)
+        self.rsign = rsign
         self.out_channel_chunk = out_channel_chunk
         self.strategy = strategy
-        self.kernel_size = kernel_size
         self.label = label
         self.telemetry = ContractionTelemetry()
+        self.fold: Optional[GlueFold] = None
+
+    @property
+    def num_bits(self) -> int:
+        """``K``: bits per patch, so outputs lie in ``[-K, K]``."""
+        return self.kernel_size * self.kernel_size * self.in_channels
+
+    @property
+    def folded(self) -> bool:
+        """Whether the step currently emits bits for the next conv."""
+        return self.fold is not None and self.fold.threshold() is not None
 
     def run(self, x: np.ndarray) -> np.ndarray:
         entry = self.source()
         w_words, num_bits, _, kernel = _as_packed_kernel(
             entry.operand, x.shape[1], self.kernel_size
         )
+        shift = None
+        if x.dtype != np.uint8 and self.rsign is not None:
+            shift = self.rsign.params["shift"]
         patch_words, patch_bits = threshold_pack_patches(
-            x, self.shift, kernel, self.stride, self.padding
+            x, shift, kernel, self.stride, self.padding
         )
         if patch_bits != num_bits:
             raise AssertionError("kernel/patch bit count mismatch")
+        threshold = None if self.fold is None else self.fold.threshold()
         out = contract_packed_patches(
             patch_words,
             w_words,
@@ -221,15 +421,28 @@ class PackedConvStep(PlanStep):
             kernel_signs=(
                 entry.signs() if self.base_strategy == "gemm" else None
             ),
+            threshold=threshold,
             telemetry=self.telemetry,
-        )
-        return out.transpose(0, 3, 1, 2).astype(np.float32)
+        ).transpose(0, 3, 1, 2)
+        if threshold is not None:
+            return out  # {0, 1} bits, thresholded for the next conv
+        out = out.astype(np.float32)
+        if self.fold is not None:
+            out = self.fold.forward(out)
+        return out
+
+    def describe(self) -> str:
+        if self.fold is None:
+            return self.label
+        return f"{self.label} | {self.fold.describe()}"
 
 
 class PackedDenseStep(PlanStep):
     """Bit-packed binary dense layer over {+1, -1} inputs."""
 
     kind = "packed_dense"
+    #: popcount's output-channel tile (bounds its xor intermediate)
+    out_channel_chunk = 64
 
     def __init__(
         self,
@@ -248,16 +461,55 @@ class PackedDenseStep(PlanStep):
 
     def run(self, x: np.ndarray) -> np.ndarray:
         entry = self.source()
-        return binary_dense_packed(
-            binarize_bits(x),
-            entry.operand,
-            strategy=self.base_strategy,
-            weight_signs=(
+        w_words, num_bits = entry.operand
+        if x.shape[-1] != num_bits:
+            raise ValueError(f"feature mismatch: {x.shape[-1]} vs {num_bits}")
+        return contract_packed_patches(
+            pack_bits(binarize_bits(x)),
+            w_words,
+            num_bits,
+            self.base_strategy,
+            self.threads,
+            self.out_channel_chunk,
+            kernel_signs=(
                 entry.signs() if self.base_strategy == "gemm" else None
             ),
-            threads=self.threads,
             telemetry=self.telemetry,
         ).astype(np.float32)
+
+
+def _fold_edges(steps: List[PlanStep]) -> List[PlanStep]:
+    """Hand the glue of each packed conv -> packed conv edge to a fold.
+
+    An edge is a :class:`PackedConvStep` followed by zero or more
+    foldable glue steps (batch norm, RPReLU) and then another packed
+    conv.  The glue steps leave the step list; the producing step's
+    :class:`GlueFold` either folds them into bits or runs them.
+    """
+    compiled: List[PlanStep] = []
+    index = 0
+    while index < len(steps):
+        step = steps[index]
+        compiled.append(step)
+        index += 1
+        if not isinstance(step, PackedConvStep):
+            continue
+        end = index
+        while (
+            end < len(steps)
+            and isinstance(steps[end], FloatStep)
+            and type(steps[end].layer) in _FOLDABLE_GLUE
+        ):
+            end += 1
+        if end < len(steps) and isinstance(steps[end], PackedConvStep):
+            step.fold = GlueFold(
+                [glue.layer for glue in steps[index:end]],
+                steps[end].rsign,
+                step.num_bits,
+                step.out_channels,
+            )
+            index = end
+    return compiled
 
 
 class InferencePlan:
@@ -311,11 +563,13 @@ class InferencePlan:
         Every ``RSign -> BinaryConv2d`` pair fuses into one
         :class:`PackedConvStep`; bare binary conv/dense layers lower with
         a zero threshold (their documented {+1, -1} input contract);
+        the glue between two packed convs folds (see :class:`GlueFold`);
         everything else — including residual wrappers — stays on the
         layer's own forward.  Compiling puts the model in inference
         mode.  Kernel packing happens lazily through each layer's
-        ``prepare()`` cache, so a plan stays consistent when the
-        optimiser replaces latent weights.
+        ``prepare()`` cache, and folds are memoised on the glue
+        parameters, so a plan stays consistent when the optimiser
+        replaces latent weights or the glue parameters change.
         """
         steps: List[PlanStep] = []
         layers = list(model.layers)
@@ -324,29 +578,19 @@ class InferencePlan:
             layer = layers[index]
             successor = layers[index + 1] if index + 1 < len(layers) else None
             if isinstance(layer, RSign) and isinstance(successor, BinaryConv2d):
+                layer.eval()
                 steps.append(
                     cls._conv_step(
-                        successor,
-                        shift=layer.params["shift"],
-                        out_channel_chunk=out_channel_chunk,
-                        strategy=strategy,
-                        threads=threads,
+                        successor, layer, out_channel_chunk, strategy, threads
                     )
                 )
-                layer.eval()
-                successor.eval()
                 index += 2
             elif isinstance(layer, BinaryConv2d):
                 steps.append(
                     cls._conv_step(
-                        layer,
-                        shift=None,
-                        out_channel_chunk=out_channel_chunk,
-                        strategy=strategy,
-                        threads=threads,
+                        layer, None, out_channel_chunk, strategy, threads
                     )
                 )
-                layer.eval()
                 index += 1
             elif isinstance(layer, BinaryDense):
                 steps.append(
@@ -365,28 +609,31 @@ class InferencePlan:
             else:
                 steps.append(FloatStep(layer))
                 index += 1
-        return cls(steps, name=model.name)
+        return cls(_fold_edges(steps), name=model.name)
 
     @staticmethod
     def _conv_step(
         conv: BinaryConv2d,
-        shift: Optional[np.ndarray],
+        rsign: Optional[RSign],
         out_channel_chunk: int,
         strategy: str,
         threads: Optional[int] = None,
     ) -> PackedConvStep:
+        conv.eval()
         label = (
             f"BinaryConv2d {conv.in_channels}->{conv.out_channels} "
             f"k{conv.kernel_size} s{conv.stride}"
         )
         return PackedConvStep(
             _LayerKernelSource(conv.prepare),
+            in_channels=conv.in_channels,
+            out_channels=conv.out_channels,
+            kernel_size=conv.kernel_size,
             stride=conv.stride,
             padding=conv.padding,
-            shift=shift,
+            rsign=rsign,
             out_channel_chunk=out_channel_chunk,
             strategy=strategy,
-            kernel_size=conv.kernel_size,
             label=label,
             threads=threads,
         )
@@ -395,7 +642,7 @@ class InferencePlan:
     def from_artifact(
         cls,
         path,
-        cache_size: int = 8,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
         out_channel_chunk: int = 64,
         strategy: str = "gemm",
         threads: Optional[int] = None,
@@ -410,18 +657,24 @@ class InferencePlan:
 
         Binary conv entries become packed steps whose kernel operands
         are decoded from the stored streams *on demand* and kept in an
-        LRU cache of ``cache_size`` layers (the gemm strategy's sign
-        matrix rides in the same cache entry, so eviction bounds both
-        representations; per-key build locks let concurrent workers
-        decode different layers in parallel); the float glue is rebuilt
-        through :class:`~repro.deploy.ArtifactReader` exactly as
-        :func:`~repro.deploy.load_compressed_model` would, so the plan's
-        logits match the reloaded model's reference forward bit for bit.
+        LRU cache of ``cache_size`` layers (``None``: every packed step
+        of the artifact; the gemm operand rides in the same cache
+        entry, so eviction bounds both representations; per-key build
+        locks let concurrent workers decode different layers in
+        parallel).  The float glue is rebuilt through
+        :class:`~repro.deploy.ArtifactReader` exactly as
+        :func:`~repro.deploy.load_compressed_model` would and folded
+        where exact, so the plan's logits match the reloaded model's
+        reference forward bit for bit.
         """
         reader = path if isinstance(path, ArtifactReader) else ArtifactReader(path)
+        entries = reader.entries
+        if cache_size is None:
+            cache_size = max(
+                1, sum(entry["type"] == "BinaryConv2d" for entry in entries)
+            )
         cache = LruCache(maxsize=cache_size)
         steps: List[PlanStep] = []
-        entries = reader.entries
         index = 0
         while index < len(entries):
             entry = entries[index]
@@ -433,12 +686,9 @@ class InferencePlan:
                 and successor is not None
                 and successor["type"] == "BinaryConv2d"
             ):
-                shift = reader.arrays[
-                    f"{reader.key(entry)}.shift"
-                ].astype(np.float32)
                 steps.append(
                     cls._artifact_conv_step(
-                        reader, cache, successor, shift,
+                        reader, cache, successor, reader.rebuild_layer(entry),
                         out_channel_chunk, strategy, threads,
                     )
                 )
@@ -454,14 +704,17 @@ class InferencePlan:
             else:
                 steps.append(FloatStep(reader.rebuild_layer(entry)))
                 index += 1
-        return cls(steps, name=reader.name, kernel_cache=cache, reader=reader)
+        return cls(
+            _fold_edges(steps), name=reader.name, kernel_cache=cache,
+            reader=reader,
+        )
 
     @staticmethod
     def _artifact_conv_step(
         reader: ArtifactReader,
         cache: LruCache,
         entry: Dict,
-        shift: Optional[np.ndarray],
+        rsign: Optional[RSign],
         out_channel_chunk: int,
         strategy: str,
         threads: Optional[int] = None,
@@ -484,12 +737,14 @@ class InferencePlan:
         )
         return PackedConvStep(
             source,
+            in_channels=config["in_channels"],
+            out_channels=config["out_channels"],
+            kernel_size=config["kernel_size"],
             stride=config["stride"],
             padding=config["padding"],
-            shift=shift,
+            rsign=rsign,
             out_channel_chunk=out_channel_chunk,
             strategy=strategy,
-            kernel_size=config["kernel_size"],
             label=label,
             threads=threads,
         )
@@ -547,9 +802,22 @@ class InferencePlan:
         """How many steps run through the bit-packed engine."""
         return sum(1 for step in self.steps if step.kind != "float")
 
+    @property
+    def num_folded_edges(self) -> int:
+        """How many packed convs emit bits straight into the next one."""
+        return sum(
+            1
+            for step in self.steps
+            if isinstance(step, PackedConvStep) and step.folded
+        )
+
     def describe(self) -> List[Tuple[str, str]]:
-        """``(kind, label)`` per step, for reports and the CLI."""
-        return [(step.kind, step.label) for step in self.steps]
+        """``(kind, label)`` per step, for reports and the CLI.
+
+        A packed conv feeding another one names its glue and whether it
+        folded to bits.
+        """
+        return [(step.kind, step.describe()) for step in self.steps]
 
     def cache_stats(self) -> Optional[Dict[str, Any]]:
         """Decoded-kernel cache counters (``None`` for model plans)."""

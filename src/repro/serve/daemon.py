@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..infer import DEFAULT_CACHE_SIZE
 from .metrics import ServingMetrics
 from .tenants import Tenant, TenantRegistry, UnknownTenantError
 
@@ -166,7 +167,7 @@ class ServingDaemon:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> Tenant:

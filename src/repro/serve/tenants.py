@@ -37,7 +37,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..infer import InferencePlan
+from ..infer import DEFAULT_CACHE_SIZE, InferencePlan
 from ..store import ArtifactStore, StoreRef
 
 __all__ = ["Tenant", "TenantRegistry", "UnknownTenantError"]
@@ -78,7 +78,7 @@ class Tenant:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> None:
@@ -201,7 +201,7 @@ class TenantRegistry:
         self,
         name: str,
         artifact: str,
-        cache_size: int = 8,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> Tenant:

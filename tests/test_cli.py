@@ -126,6 +126,13 @@ class TestInferCommand:
         assert "images/sec" in out
         assert "4 packed" in out
 
+    def test_infer_marks_folded_edges(self, capsys):
+        assert main(["infer", "--images", "4", "--batch", "4"]) == 0
+        out = capsys.readouterr().out
+        # small-bnn: every packed conv but the last (it feeds AvgPool)
+        assert "3 glue edges folded to bits" in out
+        assert out.count("folded -> bits") == 3
+
     def test_artifact_infer_reports_cache(self, capsys, tmp_path):
         import numpy as np
 

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bnn.binarize import binarize_bits
 from repro.bnn.contraction import (
+    BitThreshold,
     ContractionTelemetry,
+    contract_packed_patches,
     default_threads,
     pack_input_patches,
     resolve_strategy,
@@ -31,7 +33,7 @@ from repro.bnn.ops import (
     binary_dense_reference,
     im2col_bits,
 )
-from repro.bnn.packing import pack_bits
+from repro.bnn.packing import pack_bits, pack_kernel_channels
 
 THREADED = tuple(
     name for name in CONTRACTION_STRATEGIES if name.endswith("-threaded")
@@ -121,6 +123,69 @@ def test_explicit_threads_on_base_strategy_matches_serial():
 
 
 # ----------------------------------------------------------------------
+# Folded thresholds: bits straight out of the contraction
+# ----------------------------------------------------------------------
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.sampled_from([1, 7, 1023, 1025, 2600]),
+    in_ch=st.sampled_from([3, 64, 130]),
+    out_ch=st.integers(1, 9),
+    threads=st.sampled_from([1, 2, 3]),
+    descending=st.booleans(),
+)
+def test_threshold_selects_the_same_bits_for_every_strategy(
+    seed, rows, in_ch, out_ch, threads, descending
+):
+    rng = np.random.default_rng(seed)
+    num_bits = 9 * in_ch
+    patch_words = pack_bits(rng.integers(0, 2, (rows, num_bits), np.uint8))
+    w_words, _ = pack_kernel_channels(
+        rng.integers(0, 2, (out_ch, in_ch, 3, 3), np.uint8)
+    )
+    at_least = rng.integers(-num_bits - 2, num_bits + 3, out_ch)
+    flip = rng.random(out_ch) < 0.5 if descending else None
+    threshold = BitThreshold(at_least, flip)
+    reference = None
+    for strategy in ("popcount", "gemm"):
+        dots = contract_packed_patches(
+            patch_words, w_words, num_bits, strategy, threads, 4
+        )
+        bits = contract_packed_patches(
+            patch_words, w_words, num_bits, strategy, threads, 4,
+            threshold=threshold,
+        )
+        expected = dots >= at_least
+        if flip is not None:
+            expected = expected != flip
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, expected.view(np.uint8)), strategy
+        if reference is None:
+            reference = dots
+        assert np.array_equal(dots, reference), strategy
+
+
+def test_gemm_tiles_rows_with_a_floor():
+    telemetry = ContractionTelemetry()
+    rng = np.random.default_rng(3)
+    num_bits = 64
+    patch_words = pack_bits(rng.integers(0, 2, (20000, num_bits), np.uint8))
+    w_words = pack_bits(rng.integers(0, 2, (5, num_bits), np.uint8))
+    contract_packed_patches(
+        patch_words, w_words, num_bits, "gemm", 1, 64, telemetry=telemetry
+    )
+    # a 64-bit plane row is 256 B: 2 MB tiles hold 8192 rows
+    assert telemetry.snapshot()["gemm"]["tiles"] == 3
+    wide = pack_bits(rng.integers(0, 2, (2100, 4608), np.uint8))
+    contract_packed_patches(
+        wide, pack_bits(rng.integers(0, 2, (5, 4608), np.uint8)), 4608,
+        "gemm", 1, 64, telemetry=telemetry,
+    )
+    # 2 MB would be 113 rows of 4608 bits; the 1024-row floor wins
+    assert telemetry.snapshot()["gemm"]["tiles"] == 3 + 3
+
+
+# ----------------------------------------------------------------------
 # Fused threshold -> pack
 # ----------------------------------------------------------------------
 @settings(deadline=None, max_examples=40)
@@ -163,6 +228,15 @@ def test_pack_input_patches_matches_im2col_pack(seed, channels):
     patches = im2col_bits(x_bits, 3, 1, 1)
     assert num_bits == patches.shape[-1]
     assert np.array_equal(words, pack_bits(patches))
+
+
+def test_threshold_pack_passes_thresholded_bits_through():
+    rng = np.random.default_rng(9)
+    x_bits = rng.integers(0, 2, (2, 16, 5, 5), dtype=np.uint8)
+    words, _ = threshold_pack_patches(x_bits, None, 3, 2, 1)
+    assert np.array_equal(words, pack_input_patches(x_bits, 3, 2, 1)[0])
+    with pytest.raises(ValueError, match="no shift"):
+        threshold_pack_patches(x_bits, np.zeros(16, np.float32), 3, 2, 1)
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ def chunked_reference(model, x, batch_size):
 # Packing / ops substrate
 # ----------------------------------------------------------------------
 class TestPackedOps:
-    def test_swar_popcount_matches_byte_table(self):
+    def test_popcount_matches_byte_table(self):
         rng = np.random.default_rng(0)
         words = rng.integers(0, 2**63, (17, 5), dtype=np.uint64)
         words[0, 0] = 0
@@ -139,16 +139,6 @@ class TestPackedOps:
         assert binary_conv2d_packed(x9, operand).shape[1] == 2  # inferred 2x2
         with pytest.raises(ValueError, match="3x3 kernel over 9 channels"):
             binary_conv2d_packed(x9, operand, kernel_size=3)
-
-    def test_kernel_signs_shape_validated(self):
-        kernel = np.zeros((2, 4, 3, 3), dtype=np.uint8)
-        operand = pack_kernel_channels(kernel)
-        x = np.zeros((1, 4, 3, 3), dtype=np.uint8)
-        with pytest.raises(ValueError, match="kernel_signs shape"):
-            binary_conv2d_packed(
-                x, operand, strategy="gemm",
-                kernel_signs=np.zeros((2, 9), dtype=np.float32),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -579,6 +569,20 @@ class TestArtifactPlan:
         plan.run_batch(np.zeros((1, 1, 16, 16), dtype=np.float32))
         assert plan.cache_stats()["misses"] == stats["misses"]
         assert plan.cache_stats()["hits"] > 0
+
+    def test_default_cache_holds_every_packed_step(self, artifact, images):
+        from repro.serve.tenants import Tenant
+
+        plan = InferencePlan.from_artifact(artifact)
+        plan.run_batch(images)
+        plan.run_batch(images)
+        stats = plan.cache_stats()
+        assert stats["maxsize"] == plan.num_packed_steps
+        assert stats["misses"] == plan.num_packed_steps
+        assert stats["evictions"] == 0
+        # serving builds its plans with the same default
+        served, _ = Tenant("t", str(artifact)).plan()
+        assert served.cache_stats()["maxsize"] == plan.num_packed_steps
 
     def test_capacity_one_cache_still_exact(self, artifact, images):
         from repro.deploy import load_compressed_model
