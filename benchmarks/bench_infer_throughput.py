@@ -134,12 +134,18 @@ def test_threaded_contraction_speedup():
     reduced = bench_reduced()
     images = REDUCED_IMAGES if reduced else FULL_IMAGES
     batch = REDUCED_BATCH if reduced else FULL_BATCH
-    cores = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     threads = max(2, min(cores, 8))
 
     model = _serving_model()
     x = _images(images)
-    serial_plan = InferencePlan.from_model(model, strategy="popcount")
+    # the baseline pins one thread: the default width threads large calls
+    serial_plan = InferencePlan.from_model(
+        model, strategy="popcount", threads=1
+    )
     threaded_plan = InferencePlan.from_model(
         model, strategy="popcount", threads=threads
     )

@@ -15,9 +15,14 @@ serving hot path:
   pickle the whole im2col tensor).  numpy's bitwise/popcount ufuncs and
   the BLAS contraction all release the GIL on the tile sizes the engine
   produces, so tiles genuinely overlap on multi-core hosts.  The pool is
-  lazily built, sized by ``REPRO_THREADS`` (or the CPU count) and shared
-  by every kernel call in the process — the serving daemon's executor
-  threads funnel into one bounded pool instead of oversubscribing.
+  lazily built and shared by every kernel call in the process — the
+  serving daemon's executor threads funnel into one bounded pool
+  instead of oversubscribing.  By default a contraction fans out over
+  :func:`default_threads` (the CPUs this process may use) once its
+  ``rows x num_bits x out_ch`` multiply-accumulates reach
+  :data:`AUTO_THREADS_MIN_WORK` (2**24), and smaller calls stay serial.
+  A positive ``threads=`` forces a width on any call; ``REPRO_THREADS``
+  pins the automatic one (``REPRO_THREADS=1``: every call serial).
 * **a fused threshold -> pack stage** — :func:`threshold_pack_patches`
   lowers an RSign threshold straight into packed ``uint64`` patch words:
   one vectorised ``x >= shift`` comparison (no ``x - shift``
@@ -52,6 +57,7 @@ import numpy as np
 from .packing import WORD_BITS, pack_bits, packed_dot, packed_words, unpack_bits
 
 __all__ = [
+    "AUTO_THREADS_MIN_WORK",
     "BitThreshold",
     "ContractionTelemetry",
     "SignOperand",
@@ -64,25 +70,29 @@ __all__ = [
     "tile_spans",
 ]
 
-#: environment knob pinning the engine's thread count (also the CI
-#: reproducibility pin: ``REPRO_THREADS=1`` forces every tile serial)
+#: environment knob pinning the engine's automatic thread count (also
+#: the CI reproducibility pin: ``REPRO_THREADS=1`` forces every tile serial)
 THREADS_ENV = "REPRO_THREADS"
-
-#: suffix marking a threaded strategy alias ("gemm-threaded", ...)
-_THREADED_SUFFIX = "-threaded"
 
 #: do not spawn more pool threads than this even on very wide hosts;
 #: the kernels are memory-bandwidth bound well before 16 tiles overlap
 _MAX_POOL_THREADS = 16
 
+#: an automatic-width contraction fans out only from this much work
+#: (``rows x num_bits x out_ch`` multiply-accumulates): on a 2-vCPU
+#: host two threads made small-bnn plans (every layer <= 2.4M MACs)
+#: 28-46% slower and ReActNet (every layer >= 25M MACs) 1.6x faster
+AUTO_THREADS_MIN_WORK = 1 << 24
+
 
 def default_threads() -> int:
-    """The engine's automatic thread count.
+    """The engine's automatic thread count, evaluated at call time.
 
     ``REPRO_THREADS`` pins it (values < 1 mean serial); otherwise the
-    CPU count, capped at :data:`_MAX_POOL_THREADS`.  A single-core host
-    resolves to 1, i.e. the serial path — threading is never forced
-    where it cannot help.
+    number of CPUs this process may run on (its affinity mask, so
+    ``taskset`` and cgroup pins count; ``os.cpu_count()`` where the
+    platform has no mask), capped at :data:`_MAX_POOL_THREADS`.  A
+    process limited to one CPU resolves to 1, i.e. the serial path.
     """
     pinned = os.environ.get(THREADS_ENV, "").strip()
     if pinned:
@@ -92,22 +102,25 @@ def default_threads() -> int:
             raise ValueError(
                 f"{THREADS_ENV} must be an integer, got {pinned!r}"
             ) from None
-    return max(1, min(os.cpu_count() or 1, _MAX_POOL_THREADS))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_POOL_THREADS))
 
 
 def resolve_strategy(
     strategy: str,
     threads: Optional[int],
     strategies: Sequence[str],
-) -> Tuple[str, int]:
-    """Validate ``strategy`` and resolve the effective thread count.
+) -> Tuple[str, Optional[int]]:
+    """Validate ``strategy`` and ``threads`` before any operand work.
 
-    Returns ``(base_strategy, threads)``.  A ``*-threaded`` alias forces
-    the pool with the automatic width unless ``threads`` pins one;
-    a base strategy stays serial unless ``threads`` asks otherwise
-    (``None``/``0``/``1`` all mean serial there).  Validation happens
-    here — before any operand conversion work — so a bad strategy
-    string fails fast and cheap.
+    Returns ``(strategy, threads)`` with ``threads`` either a positive
+    width that every call forces, or ``None`` (from ``None`` or ``0``):
+    the automatic width, :func:`default_threads` for a call whose work
+    reaches :data:`AUTO_THREADS_MIN_WORK` and serial below it.
+    Validation happens here so a bad knob fails fast and cheap.
     """
     if strategy not in strategies:
         raise ValueError(
@@ -115,18 +128,7 @@ def resolve_strategy(
         )
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    base = strategy
-    forced = False
-    if strategy.endswith(_THREADED_SUFFIX):
-        base = strategy[: -len(_THREADED_SUFFIX)]
-        forced = True
-    if threads:  # an explicit positive width always wins
-        effective = int(threads)
-    elif forced:
-        effective = default_threads()
-    else:
-        effective = 1
-    return base, max(1, effective)
+    return strategy, int(threads) if threads else None
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +514,7 @@ def contract_packed_patches(
     w_words: Optional[np.ndarray],
     num_bits: int,
     strategy: str,
-    threads: int,
+    threads: Optional[int],
     out_channel_chunk: int,
     kernel_signs: Optional[SignOperand] = None,
     threshold: Optional[BitThreshold] = None,
@@ -529,12 +531,17 @@ def contract_packed_patches(
     is a small exact integer.  With a ``threshold`` the result is
     instead the ``uint8`` {0, 1} bits it selects, same shape.
 
+    A positive ``threads`` forces the tile fan-out; ``None`` or ``0``
+    fans out to :func:`default_threads` when ``rows x num_bits x out``
+    reaches :data:`AUTO_THREADS_MIN_WORK` and runs serially below it.
     ``popcount`` tiles over ``batch x out_channel`` (the xor
     intermediate of a tile is bounded by ``out_channel_chunk``).
     ``gemm`` tiles over rows sized to a ~2 MB float patch plane (never
-    fewer than 1024 rows): each tile unpacks its patch words to {0, 1}
-    floats and contracts them with BLAS against ``kernel_signs``, the
-    transposed sign matrix built per weight version by the caller.
+    fewer than 1024 rows), in whole waves of ``threads`` tiles so no
+    thread idles in the last one.  Each tile unpacks its patch words to
+    {0, 1} floats and contracts them with BLAS against
+    ``kernel_signs``, the transposed sign matrix built per weight
+    version by the caller.
     Every ``z = b . W`` is an exact integer below 2**24, so the
     {+1, -1} correction ``y = 2 z - sums`` — or, with a threshold, the
     same comparison moved into the ``z`` domain — stays exact.
@@ -557,7 +564,9 @@ def contract_packed_patches(
     else:
         out = np.empty((rows, out_ch), dtype=np.bool_)
 
-    threads = max(1, threads)
+    if not threads:  # the automatic width: only large calls fan out
+        large = rows * num_bits * out_ch >= AUTO_THREADS_MIN_WORK
+        threads = default_threads() if large else 1
     tiles = 0
     work: List[Callable[[], None]] = []
 
@@ -570,7 +579,8 @@ def contract_packed_patches(
         rows_per_tile = max(
             _GEMM_MIN_ROWS, _GEMM_TILE_BYTES // (4 * max(1, num_bits))
         )
-        count = max(-(-rows // rows_per_tile), min(threads, rows))
+        waves = -(-rows // (rows_per_tile * threads))
+        count = min(rows, waves * threads)
 
         def gemm_tile(row_start: int, row_stop: int) -> None:
             plane = np.empty((row_stop - row_start, num_bits), np.float32)

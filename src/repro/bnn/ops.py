@@ -52,16 +52,11 @@ PackedOperand = Tuple[np.ndarray, int]
 #: of {0, 1} patch bits against {+1, -1} weights.  Every intermediate
 #: of both strategies is a small exact integer, so their outputs are
 #: bit-identical — ``gemm`` is simply how a CPU without a vector
-#: popcount serves fastest.  The ``*-threaded`` aliases run the same
-#: contraction tiled over the shared worker pool (see
-#: :mod:`repro.bnn.contraction`); tiling cannot change the integers, so
-#: every strategy/thread combination stays bit-identical.
-CONTRACTION_STRATEGIES = (
-    "popcount",
-    "gemm",
-    "popcount-threaded",
-    "gemm-threaded",
-)
+#: popcount serves fastest.  Either one fans large contractions out
+#: over the shared worker pool (see :mod:`repro.bnn.contraction`);
+#: tiling cannot change the integers, so every strategy/thread
+#: combination stays bit-identical.
+CONTRACTION_STRATEGIES = ("popcount", "gemm")
 
 
 def _as_packed_kernel(
@@ -208,13 +203,12 @@ def binary_conv2d_packed(
     ``strategy`` picks the contraction (see
     :data:`CONTRACTION_STRATEGIES`): ``popcount`` is the xnor+popcount
     word loop the hardware model mirrors; ``gemm`` computes the same
-    exact integers through a BLAS contraction (the fast serving path);
-    the ``*-threaded`` aliases tile the same contraction
-    over the shared worker pool.  ``out_channel_chunk`` bounds the
-    popcount strategy's xor intermediate, mirroring how a real kernel
-    tiles over output channels.  ``threads`` pins the tile fan-out (a
-    positive value threads even a base strategy; ``None`` leaves base
-    strategies serial and sizes ``*-threaded`` automatically).
+    exact integers through a BLAS contraction (the fast serving path).
+    ``out_channel_chunk`` bounds the popcount strategy's xor
+    intermediate, mirroring how a real kernel tiles over output
+    channels.  ``threads`` pins the tile fan-out; the default ``None``
+    threads only large calls (see
+    :func:`~repro.bnn.contraction.contract_packed_patches`).
 
     ``kernel_size`` (prepacked operands only) cross-checks the operand's
     geometry against the input instead of inferring it from the bit
@@ -223,7 +217,7 @@ def binary_conv2d_packed(
     operand cached per weight version.)
     """
     # validate knobs before any operand conversion work
-    base_strategy, threads = resolve_strategy(
+    strategy, threads = resolve_strategy(
         strategy, threads, CONTRACTION_STRATEGIES
     )
     if out_channel_chunk <= 0:
@@ -255,7 +249,7 @@ def binary_conv2d_packed(
         patch_words,
         w_words,
         num_bits,
-        base_strategy,
+        strategy,
         threads,
         out_channel_chunk,
         telemetry=telemetry,
@@ -296,7 +290,7 @@ def binary_dense_packed(
     ``telemetry`` behave exactly as their namesakes in
     :func:`binary_conv2d_packed`.
     """
-    base_strategy, threads = resolve_strategy(
+    strategy, threads = resolve_strategy(
         strategy, threads, CONTRACTION_STRATEGIES
     )
     if out_channel_chunk <= 0:
@@ -320,7 +314,7 @@ def binary_dense_packed(
         pack_bits(x_bits),
         w_words,
         num_bits,
-        base_strategy,
+        strategy,
         threads,
         out_channel_chunk,
         telemetry=telemetry,

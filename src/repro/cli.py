@@ -90,7 +90,7 @@ def _cmd_coders(args: argparse.Namespace) -> str:
 
 def _cmd_backends(args: argparse.Namespace) -> str:
     from .analysis.report import render_table
-    from .bnn.contraction import default_threads, resolve_strategy
+    from .bnn.contraction import AUTO_THREADS_MIN_WORK, default_threads
     from .bnn.ops import CONTRACTION_STRATEGIES
     from .sim.backends import registered_backends
     from .sim.scenario import available_models, get_model
@@ -104,10 +104,8 @@ def _cmd_backends(args: argparse.Namespace) -> str:
         spec = get_model(name)
         runnable = "yes" if spec.builder is not None else "no"
         model_rows.append((name, runnable, spec.description))
-    strategy_rows = []
-    for name in CONTRACTION_STRATEGIES:
-        base, threads = resolve_strategy(name, None, CONTRACTION_STRATEGIES)
-        strategy_rows.append((name, base, str(threads)))
+    auto = f"{default_threads()} from {AUTO_THREADS_MIN_WORK:,} MACs, else 1"
+    strategy_rows = [(name, auto) for name in CONTRACTION_STRATEGIES]
     return "\n\n".join(
         [
             render_table(
@@ -116,12 +114,9 @@ def _cmd_backends(args: argparse.Namespace) -> str:
                 title="Simulation backends",
             ),
             render_table(
-                ("strategy", "kernel", "threads"),
+                ("strategy", "default threads"),
                 strategy_rows,
-                title=(
-                    "Contraction strategies "
-                    f"(default pool width {default_threads()})"
-                ),
+                title="Contraction strategies",
             ),
             render_table(
                 ("model", "runnable", "description"),
@@ -810,13 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--strategy", choices=CONTRACTION_STRATEGIES,
                 default="gemm",
-                help="packed contraction strategy (default gemm; the "
-                     "*-threaded aliases fan tiles across the pool)",
+                help="packed contraction strategy (default gemm)",
             )
             sub.add_argument(
                 "--threads", type=int, default=None,
-                help="contraction-engine thread count (default: strategy "
-                     "decides; REPRO_THREADS pins the pool width)",
+                help="contraction-engine thread count (default: every "
+                     "usable CPU for large contractions, serial for "
+                     "small ones; REPRO_THREADS pins that width)",
             )
             sub.add_argument(
                 "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
@@ -879,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--threads", type=int, default=None,
                 help="contraction-engine thread count on every worker "
-                     "(default: strategy decides)",
+                     "(default: automatic by contraction size)",
             )
         if name == "store":
             sub.add_argument(
@@ -963,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--threads", type=int, default=None,
                 help="contraction-engine thread count for registered "
-                     "tenants (default: strategy decides)",
+                     "tenants (default: automatic by contraction size)",
             )
             sub.add_argument(
                 "--requests", type=int, default=64,

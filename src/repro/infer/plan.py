@@ -348,9 +348,10 @@ class PackedConvStep(PlanStep):
     plan's LRU-cached decode — so channel packing is hoisted out of the
     per-call path.  ``fold`` (set by the compiler when the step feeds
     another packed conv) turns the output into those bits, or runs the
-    glue when the edge does not fold.  ``threads`` fans the contraction
-    out over the shared tile pool; ``telemetry`` accumulates
-    per-strategy tile and timing counters for
+    glue when the edge does not fold.  ``threads`` pins the contraction's
+    fan-out over the shared tile pool (``None``: automatic by call
+    size, see :func:`~repro.bnn.contraction.contract_packed_patches`);
+    ``telemetry`` accumulates per-strategy tile and timing counters for
     :meth:`InferencePlan.contraction_stats`.
     """
 
@@ -371,7 +372,7 @@ class PackedConvStep(PlanStep):
         threads: Optional[int] = None,
     ) -> None:
         # validate the strategy/threads combination at compile time
-        self.base_strategy, self.threads = resolve_strategy(
+        self.strategy, self.threads = resolve_strategy(
             strategy, threads, CONTRACTION_STRATEGIES
         )
         self.source = source
@@ -382,7 +383,6 @@ class PackedConvStep(PlanStep):
         self.padding = padding
         self.rsign = rsign
         self.out_channel_chunk = out_channel_chunk
-        self.strategy = strategy
         self.label = label
         self.telemetry = ContractionTelemetry()
         self.fold: Optional[GlueFold] = None
@@ -415,11 +415,11 @@ class PackedConvStep(PlanStep):
             patch_words,
             w_words,
             num_bits,
-            self.base_strategy,
+            self.strategy,
             self.threads,
             self.out_channel_chunk,
             kernel_signs=(
-                entry.signs() if self.base_strategy == "gemm" else None
+                entry.signs() if self.strategy == "gemm" else None
             ),
             threshold=threshold,
             telemetry=self.telemetry,
@@ -451,11 +451,10 @@ class PackedDenseStep(PlanStep):
         label: str = "BinaryDense",
         threads: Optional[int] = None,
     ) -> None:
-        self.base_strategy, self.threads = resolve_strategy(
+        self.strategy, self.threads = resolve_strategy(
             strategy, threads, CONTRACTION_STRATEGIES
         )
         self.source = source
-        self.strategy = strategy
         self.label = label
         self.telemetry = ContractionTelemetry()
 
@@ -468,11 +467,11 @@ class PackedDenseStep(PlanStep):
             pack_bits(binarize_bits(x)),
             w_words,
             num_bits,
-            self.base_strategy,
+            self.strategy,
             self.threads,
             self.out_channel_chunk,
             kernel_signs=(
-                entry.signs() if self.base_strategy == "gemm" else None
+                entry.signs() if self.strategy == "gemm" else None
             ),
             telemetry=self.telemetry,
         ).astype(np.float32)

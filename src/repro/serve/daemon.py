@@ -61,8 +61,8 @@ class ServeConfig:
     #: latency reservoir size per tenant (see ServingMetrics)
     latency_window: int = 8192
     #: default contraction-engine thread count for registered tenants
-    #: (``None`` = strategy decides: serial for the base strategies,
-    #: ``default_threads()`` for the ``*-threaded`` aliases)
+    #: (``None`` = automatic: ``default_threads()`` for contractions of
+    #: at least ``AUTO_THREADS_MIN_WORK`` MACs, serial below it)
     threads: Optional[int] = None
 
     def __post_init__(self) -> None:

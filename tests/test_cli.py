@@ -109,7 +109,9 @@ class TestBackendsCommand:
         assert "Contraction strategies" in out
         for strategy in CONTRACTION_STRATEGIES:
             assert strategy in out
-        assert "gemm-threaded" in out
+        assert "gemm-threaded" not in out
+        assert "default threads" in out
+        assert "16,777,216 MACs" in out  # the automatic width's floor
 
 
 class TestInferCommand:
@@ -164,7 +166,7 @@ class TestInferCommand:
     def test_threaded_strategy_reports_telemetry(self, capsys):
         assert main(
             ["infer", "--images", "8", "--batch", "4",
-             "--strategy", "popcount-threaded", "--threads", "2"]
+             "--strategy", "popcount", "--threads", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "contraction[popcount]" in out

@@ -10,12 +10,15 @@ fused threshold->pack stage is held to the same standard against the
 unfused ``binarize -> im2col -> pack`` composition it replaces.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bnn.binarize import binarize_bits
 from repro.bnn.contraction import (
+    AUTO_THREADS_MIN_WORK,
     BitThreshold,
     ContractionTelemetry,
     contract_packed_patches,
@@ -34,10 +37,8 @@ from repro.bnn.ops import (
     im2col_bits,
 )
 from repro.bnn.packing import pack_bits, pack_kernel_channels
-
-THREADED = tuple(
-    name for name in CONTRACTION_STRATEGIES if name.endswith("-threaded")
-)
+from repro.bnn.reactnet import build_small_bnn
+from repro.infer import InferencePlan
 
 
 def _conv_case(seed, batch, in_ch, out_ch, size, kernel=3):
@@ -69,17 +70,20 @@ def test_conv_threaded_matches_serial_and_reference(
         x_bits * 2.0 - 1.0, k_bits * 2.0 - 1.0, stride=1, padding=1
     )
     for strategy in CONTRACTION_STRATEGIES:
-        out = binary_conv2d_packed(
-            x_bits,
-            k_bits,
-            stride=1,
-            padding=1,
-            out_channel_chunk=chunk,
-            strategy=strategy,
-            threads=threads if strategy in THREADED else None,
-        )
-        assert out.dtype == np.int32
-        assert np.array_equal(out.astype(np.float32), reference), strategy
+        for width in (None, threads):
+            out = binary_conv2d_packed(
+                x_bits,
+                k_bits,
+                stride=1,
+                padding=1,
+                out_channel_chunk=chunk,
+                strategy=strategy,
+                threads=width,
+            )
+            assert out.dtype == np.int32
+            assert np.array_equal(
+                out.astype(np.float32), reference
+            ), (strategy, width)
 
 
 @settings(deadline=None, max_examples=40)
@@ -101,14 +105,17 @@ def test_dense_threaded_matches_serial_and_reference(
         x_bits * 2.0 - 1.0, w_bits * 2.0 - 1.0
     )
     for strategy in CONTRACTION_STRATEGIES:
-        result = binary_dense_packed(
-            x_bits,
-            w_bits,
-            strategy=strategy,
-            threads=threads if strategy in THREADED else None,
-            out_channel_chunk=chunk,
-        )
-        assert np.array_equal(result.astype(np.float32), reference), strategy
+        for width in (None, threads):
+            result = binary_dense_packed(
+                x_bits,
+                w_bits,
+                strategy=strategy,
+                threads=width,
+                out_channel_chunk=chunk,
+            )
+            assert np.array_equal(
+                result.astype(np.float32), reference
+            ), (strategy, width)
 
 
 def test_explicit_threads_on_base_strategy_matches_serial():
@@ -280,15 +287,17 @@ def test_negative_threads_rejected():
 
 def test_resolve_strategy_rules():
     strategies = CONTRACTION_STRATEGIES
-    assert resolve_strategy("popcount", None, strategies) == ("popcount", 1)
-    assert resolve_strategy("gemm", 0, strategies) == ("gemm", 1)
+    assert strategies == ("popcount", "gemm")
+    # None and 0 leave the width to each call; a positive one pins it
+    assert resolve_strategy("popcount", None, strategies) == (
+        "popcount", None
+    )
+    assert resolve_strategy("gemm", 0, strategies) == ("gemm", None)
     assert resolve_strategy("gemm", 6, strategies) == ("gemm", 6)
-    base, threads = resolve_strategy("popcount-threaded", None, strategies)
-    assert base == "popcount"
-    assert threads == default_threads()
-    assert resolve_strategy("gemm-threaded", 3, strategies) == ("gemm", 3)
-    with pytest.raises(ValueError, match="strategy"):
-        resolve_strategy("xnor", None, strategies)
+    assert resolve_strategy("popcount", 1, strategies) == ("popcount", 1)
+    for retired in ("xnor", "popcount-threaded", "gemm-threaded"):
+        with pytest.raises(ValueError, match="strategy"):
+            resolve_strategy(retired, None, strategies)
 
 
 def test_default_threads_env_pin(monkeypatch):
@@ -299,6 +308,103 @@ def test_default_threads_env_pin(monkeypatch):
     monkeypatch.setenv("REPRO_THREADS", "many")
     with pytest.raises(ValueError, match="REPRO_THREADS"):
         default_threads()
+
+
+def test_default_threads_counts_usable_cpus(monkeypatch):
+    """The affinity mask, not the host's CPU count, sizes the width."""
+    monkeypatch.delenv("REPRO_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {3}, raising=False
+    )
+    assert default_threads() == 1
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+    )
+    assert default_threads() == 3  # read at call time, not at import
+    monkeypatch.setenv("REPRO_THREADS", "2")
+    assert default_threads() == 2  # the pin still wins
+    monkeypatch.delenv("REPRO_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_threads() == 8  # no affinity mask: the CPU count
+
+
+# ----------------------------------------------------------------------
+# The automatic width: large contractions fan out, small ones do not
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
+def test_auto_width_threads_large_contractions(monkeypatch, strategy):
+    monkeypatch.setenv("REPRO_THREADS", "2")
+    rng = np.random.default_rng(21)
+    rows, num_bits, out_ch = 2100, 1000, 9
+    assert rows * num_bits * out_ch >= AUTO_THREADS_MIN_WORK
+    patch_bits = rng.integers(0, 2, (rows, num_bits), np.uint8)
+    patch_words = pack_bits(patch_bits)
+    w_bits = rng.integers(0, 2, (out_ch, num_bits), np.uint8)
+    w_words = pack_bits(w_bits)
+    threshold = BitThreshold(
+        rng.integers(-40, 41, out_ch), rng.random(out_ch) < 0.5
+    )
+    results = {}
+    for width in (None, 1):
+        telemetry = ContractionTelemetry()
+        dots = contract_packed_patches(
+            patch_words, w_words, num_bits, strategy, width, 4,
+            telemetry=telemetry,
+        )
+        bits = contract_packed_patches(
+            patch_words, w_words, num_bits, strategy, width, 4,
+            threshold=threshold, telemetry=telemetry,
+        )
+        results[width] = dots, bits
+        stats = telemetry.snapshot()[strategy]
+        assert stats["threaded_calls"] == (2 if width is None else 0)
+        assert stats["max_threads"] == (2 if width is None else 1)
+    assert np.array_equal(results[None][0], results[1][0])
+    assert np.array_equal(results[None][1], results[1][1])
+    reference = binary_dense_reference(
+        patch_bits * 2.0 - 1.0, w_bits * 2.0 - 1.0
+    )
+    assert np.array_equal(results[None][0].astype(np.float32), reference)
+
+
+@pytest.mark.parametrize("batch", [1, 64, 256])
+def test_small_bnn_stays_serial_by_default(monkeypatch, batch):
+    """No small-bnn contraction reaches the floor, even on a wide host."""
+    monkeypatch.setenv("REPRO_THREADS", "2")
+    model = build_small_bnn(
+        in_channels=1, num_classes=10, image_size=8, channels=(16, 32),
+        seed=0,
+    )
+    model.eval()
+    x = np.random.default_rng(batch).standard_normal(
+        (batch, 1, 8, 8)
+    ).astype(np.float32)
+    oracle = model.forward_batched(x, batch_size=batch)
+    for strategy in CONTRACTION_STRATEGIES:
+        plan = InferencePlan.from_model(model, strategy=strategy)
+        assert np.array_equal(plan.run_batch(x), oracle), strategy
+        stats = plan.contraction_stats()[strategy]
+        assert stats["calls"] > 0
+        assert stats["threaded_calls"] == 0, (strategy, batch)
+
+
+def test_gemm_tile_count_rounds_up_to_whole_waves():
+    rng = np.random.default_rng(4)
+    num_bits = 2048  # 1024-row tiles: 6500 rows need 7 of them
+    patch_words = pack_bits(rng.integers(0, 2, (6500, num_bits), np.uint8))
+    w_words = pack_bits(rng.integers(0, 2, (2, num_bits), np.uint8))
+    serial = contract_packed_patches(
+        patch_words, w_words, num_bits, "popcount", 1, 64
+    )
+    for threads, tiles in ((1, 7), (2, 8), (3, 9)):
+        telemetry = ContractionTelemetry()
+        out = contract_packed_patches(
+            patch_words, w_words, num_bits, "gemm", threads, 64,
+            telemetry=telemetry,
+        )
+        assert telemetry.snapshot()["gemm"]["tiles"] == tiles, threads
+        assert np.array_equal(out, serial)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bnn.layers import BinaryConv2d, BinaryDense
 from repro.bnn.ops import (
-    CONTRACTION_STRATEGIES,
     binary_conv2d_packed,
     binary_conv2d_reference,
     binary_dense_packed,
@@ -31,6 +30,14 @@ from repro.bnn.reactnet import build_small_bnn
 from repro.deploy import save_compressed_model
 from repro.infer import InferencePlan, LruCache
 from repro.sim import Scenario, Simulator
+
+#: every strategy at the default width and forced onto the tile pool
+STRATEGY_WIDTHS = [
+    pytest.param("popcount", None, id="popcount"),
+    pytest.param("gemm", None, id="gemm"),
+    pytest.param("popcount", 2, id="popcount-threaded"),
+    pytest.param("gemm", 2, id="gemm-threaded"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -71,18 +78,24 @@ class TestPackedOps:
         words[1, 1] = np.uint64(2**64 - 1)
         assert np.array_equal(popcount64(words), _popcount64_bytes(words))
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_conv_prepacked_operand_matches_bit_tensor(self, strategy):
+    @pytest.mark.parametrize("strategy,threads", STRATEGY_WIDTHS)
+    def test_conv_prepacked_operand_matches_bit_tensor(
+        self, strategy, threads
+    ):
         rng = np.random.default_rng(1)
         kernel = rng.integers(0, 2, (8, 16, 3, 3)).astype(np.uint8)
         x = rng.integers(0, 2, (2, 16, 6, 6)).astype(np.uint8)
-        from_bits = binary_conv2d_packed(x, kernel, strategy=strategy)
+        from_bits = binary_conv2d_packed(
+            x, kernel, strategy=strategy, threads=threads
+        )
         prepacked = pack_kernel_channels(kernel)
-        from_words = binary_conv2d_packed(x, prepacked, strategy=strategy)
+        from_words = binary_conv2d_packed(
+            x, prepacked, strategy=strategy, threads=threads
+        )
         assert np.array_equal(from_bits, from_words)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_conv_strategies_match_reference(self, strategy):
+    @pytest.mark.parametrize("strategy,threads", STRATEGY_WIDTHS)
+    def test_conv_strategies_match_reference(self, strategy, threads):
         rng = np.random.default_rng(2)
         kernel = rng.integers(0, 2, (5, 8, 3, 3)).astype(np.uint8)
         x = rng.integers(0, 2, (3, 8, 5, 5)).astype(np.uint8)
@@ -90,17 +103,25 @@ class TestPackedOps:
             np.where(x.astype(bool), 1.0, -1.0),
             np.where(kernel.astype(bool), 1.0, -1.0),
         ).astype(np.int32)
-        got = binary_conv2d_packed(x, kernel, strategy=strategy)
+        got = binary_conv2d_packed(
+            x, kernel, strategy=strategy, threads=threads
+        )
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_dense_prepacked_operand_matches_bit_tensor(self, strategy):
+    @pytest.mark.parametrize("strategy,threads", STRATEGY_WIDTHS)
+    def test_dense_prepacked_operand_matches_bit_tensor(
+        self, strategy, threads
+    ):
         rng = np.random.default_rng(3)
         weight = rng.integers(0, 2, (6, 70)).astype(np.uint8)
         x = rng.integers(0, 2, (4, 70)).astype(np.uint8)
-        from_bits = binary_dense_packed(x, weight, strategy=strategy)
+        from_bits = binary_dense_packed(
+            x, weight, strategy=strategy, threads=threads
+        )
         prepacked = (pack_bits(weight), weight.shape[-1])
-        from_words = binary_dense_packed(x, prepacked, strategy=strategy)
+        from_words = binary_dense_packed(
+            x, prepacked, strategy=strategy, threads=threads
+        )
         assert np.array_equal(from_bits, from_words)
         expected = binary_dense_reference(
             np.where(x.astype(bool), 1.0, -1.0),
@@ -421,9 +442,13 @@ class TestModelPlan:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("strategy", CONTRACTION_STRATEGIES)
-    def test_both_strategies_bitexact(self, serving_model, images, strategy):
-        plan = InferencePlan.from_model(serving_model, strategy=strategy)
+    @pytest.mark.parametrize("strategy,threads", STRATEGY_WIDTHS)
+    def test_both_strategies_bitexact(
+        self, serving_model, images, strategy, threads
+    ):
+        plan = InferencePlan.from_model(
+            serving_model, strategy=strategy, threads=threads
+        )
         expected = chunked_reference(serving_model, images, images.shape[0])
         assert np.array_equal(plan.run_batch(images), expected)
 
