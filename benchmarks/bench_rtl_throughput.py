@@ -7,7 +7,7 @@ must produce *identical* ``(decoded, packed_words, stats)`` to the
 per-cycle FSM while being at least 20x faster end to end.  A second
 section gates the *universal* replay on an operating point **outside**
 the old ``parse_rate * max_code_length <= 25`` analytic envelope:
-``engine="auto"`` must match the FSM on all of ``(decoded,
+the default replay engine must match the FSM on all of ``(decoded,
 packed_words, cycles, stall_cycles, fetch_requests, active_cycles)``
 without ever ticking it, through the exact windowed event loop.  A
 third section times the in-order pipeline's event-driven scoreboard
@@ -141,7 +141,7 @@ def test_replay_speedup_over_fsm():
 
 
 def test_universal_replay_outside_envelope():
-    """``engine="auto"`` == FSM beyond the old analytic envelope."""
+    """The default engine == FSM beyond the old analytic envelope."""
     from repro.hw.rtl_fast import replay_supported
 
     reduced = bench_reduced()
@@ -153,18 +153,17 @@ def test_universal_replay_outside_envelope():
     max_length = int(max(stream.rebuild_tree().layout.code_lengths))
     assert not replay_supported(UNIVERSAL_PARSE_RATE, max_length)
 
-    auto_unit = RtlDecodingUnit(
+    replay_unit = RtlDecodingUnit(
         register_bits=REGISTER_BITS,
         memory_latency=MEMORY_LATENCY,
         parse_rate=UNIVERSAL_PARSE_RATE,
-        engine="auto",
     )
-    auto_unit.run(stream)  # warm the allocator outside the timed region
-    auto_seconds = float("inf")
+    replay_unit.run(stream)  # warm the allocator outside the timed region
+    replay_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        auto_out = auto_unit.run(stream)
-        auto_seconds = min(auto_seconds, time.perf_counter() - start)
+        replay_out = replay_unit.run(stream)
+        replay_seconds = min(replay_seconds, time.perf_counter() - start)
 
     fsm_unit = RtlDecodingUnit(
         register_bits=REGISTER_BITS,
@@ -177,17 +176,17 @@ def test_universal_replay_outside_envelope():
     fsm_seconds = time.perf_counter() - start
 
     # full observable equality: output bits and every cycle counter
-    assert np.array_equal(auto_out[0], sequences)
-    assert np.array_equal(fsm_out[0], auto_out[0])
-    assert fsm_out[1] == auto_out[1]
-    auto_stats, fsm_stats = auto_out[2], fsm_out[2]
+    assert np.array_equal(replay_out[0], sequences)
+    assert np.array_equal(fsm_out[0], replay_out[0])
+    assert fsm_out[1] == replay_out[1]
+    replay_stats, fsm_stats = replay_out[2], fsm_out[2]
     for field in (
         "cycles", "stall_cycles", "fetch_requests", "active_cycles",
         "sequences_decoded",
     ):
-        assert getattr(auto_stats, field) == getattr(fsm_stats, field), field
+        assert getattr(replay_stats, field) == getattr(fsm_stats, field), field
 
-    speedup = fsm_seconds / auto_seconds
+    speedup = fsm_seconds / replay_seconds
     update_bench_artifact(
         "rtl",
         "universal_replay",
@@ -197,10 +196,10 @@ def test_universal_replay_outside_envelope():
             "memory_latency": MEMORY_LATENCY,
             "parse_rate": UNIVERSAL_PARSE_RATE,
             "max_code_length": max_length,
-            "cycles": int(auto_stats.cycles),
-            "utilisation": float(auto_stats.utilisation),
+            "cycles": int(replay_stats.cycles),
+            "utilisation": float(replay_stats.utilisation),
             "fsm_seconds": float(fsm_seconds),
-            "auto_seconds": float(auto_seconds),
+            "replay_seconds": float(replay_seconds),
             "speedup": float(speedup),
             "floor": float(floor),
         },
@@ -209,7 +208,7 @@ def test_universal_replay_outside_envelope():
     print(
         f"\nuniversal replay {count} sequences (parse rate "
         f"{UNIVERSAL_PARSE_RATE}, max code {max_length} bits): "
-        f"fsm {fsm_seconds:.2f}s, auto {auto_seconds * 1000:.1f}ms "
+        f"fsm {fsm_seconds:.2f}s, replay {replay_seconds * 1000:.1f}ms "
         f"-> {speedup:.1f}x"
     )
     assert speedup >= floor, (

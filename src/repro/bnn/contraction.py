@@ -91,22 +91,23 @@ def default_threads() -> int:
     ``REPRO_THREADS`` pins it (values < 1 mean serial); otherwise the
     number of CPUs this process may run on (its affinity mask, so
     ``taskset`` and cgroup pins count; ``os.cpu_count()`` where the
-    platform has no mask), capped at :data:`_MAX_POOL_THREADS`.  A
-    process limited to one CPU resolves to 1, i.e. the serial path.
+    platform has no mask).  Either way the result is capped at
+    :data:`_MAX_POOL_THREADS`.  A process limited to one CPU resolves
+    to 1, i.e. the serial path.
     """
     pinned = os.environ.get(THREADS_ENV, "").strip()
     if pinned:
         try:
-            return max(1, int(pinned))
+            width = int(pinned)
         except ValueError:
             raise ValueError(
                 f"{THREADS_ENV} must be an integer, got {pinned!r}"
             ) from None
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+    elif hasattr(os, "sched_getaffinity"):
+        width = len(os.sched_getaffinity(0))
     else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_POOL_THREADS))
+        width = os.cpu_count() or 1
+    return max(1, min(width, _MAX_POOL_THREADS))
 
 
 def resolve_strategy(
@@ -515,7 +516,7 @@ def contract_packed_patches(
     num_bits: int,
     strategy: str,
     threads: Optional[int],
-    out_channel_chunk: int,
+    out_channel_chunk: int = 64,
     kernel_signs: Optional[SignOperand] = None,
     threshold: Optional[BitThreshold] = None,
     telemetry: Optional[ContractionTelemetry] = None,

@@ -66,7 +66,7 @@ class Sequential:
             axis=0,
         )
 
-    def prepare(self, out_channel_chunk: int = 64):
+    def prepare(self):
         """Compile (and cache) the batched packed serving plan.
 
         Lowers the model through
@@ -79,9 +79,7 @@ class Sequential:
         """
         from ..infer import InferencePlan  # lazy: avoids an import cycle
 
-        self._plan = InferencePlan.from_model(
-            self, out_channel_chunk=out_channel_chunk
-        )
+        self._plan = InferencePlan.from_model(self)
         return self._plan
 
     def run_batch(

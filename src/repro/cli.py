@@ -220,7 +220,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth,
         workers=args.workers,
-        threads=args.threads,
     )
     # demo-load clients live under the unified policy: many cheap
     # attempts with capped backoff, bounded by a hard deadline instead
@@ -230,9 +229,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         deadline_ms=120_000.0,
     )
     daemon = ServingDaemon(config)
-    daemon.register(
-        args.tenant, args.artifact, cache_size=args.cache_size
-    )
+    daemon.register(args.tenant, args.artifact)
     input_shape = _artifact_input_shape(args.artifact)
     rng = np.random.default_rng(args.seed)
     images = rng.standard_normal(
@@ -281,7 +278,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             queue_depth=args.queue_depth,
-            threads=args.threads,
         ),
     )
     input_shape = _artifact_input_shape(args.artifact)
@@ -325,10 +321,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         }
 
     with FleetRouter(config) as fleet:
-        document["artifact"] = fleet.register(
-            args.tenant, args.artifact, cache_size=args.cache_size,
-            threads=args.threads,
-        )
+        document["artifact"] = fleet.register(args.tenant, args.artifact)
         if args.action in ("run", "rollout"):
             _drive(fleet)
         if args.action == "rollout":
@@ -689,8 +682,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for shell-completion tooling and tests)."""
-    from .infer import DEFAULT_CACHE_SIZE
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -814,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "small ones; REPRO_THREADS pins that width)",
             )
             sub.add_argument(
-                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                "--cache-size", type=int, default=None,
                 help="decoded-kernel LRU capacity for artifact plans "
                      "(default: every packed step)",
             )
@@ -865,16 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--queue-depth", type=int, default=1024,
                 help="per-worker admitted-image bound (default 1024)",
-            )
-            sub.add_argument(
-                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
-                help="decoded-kernel LRU capacity of each worker's plan "
-                     "(default: every packed step)",
-            )
-            sub.add_argument(
-                "--threads", type=int, default=None,
-                help="contraction-engine thread count on every worker "
-                     "(default: automatic by contraction size)",
             )
         if name == "store":
             sub.add_argument(
@@ -949,16 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--workers", type=int, default=2,
                 help="thread-pool width for batch execution (default 2)",
-            )
-            sub.add_argument(
-                "--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
-                help="decoded-kernel LRU capacity of the tenant's plan "
-                     "(default: every packed step)",
-            )
-            sub.add_argument(
-                "--threads", type=int, default=None,
-                help="contraction-engine thread count for registered "
-                     "tenants (default: automatic by contraction size)",
             )
             sub.add_argument(
                 "--requests", type=int, default=64,

@@ -15,7 +15,10 @@ layer is the serving counterpart: many small compressed models behind
 one admission point, with worker crashes survived by transparent
 failover and new artifact versions deployed by rolling, availability-
 floored hot-swaps (:meth:`FleetRouter.rollout`) that never mix model
-versions inside a batch.
+versions inside a batch.  A tenant is registered by name and artifact
+alone (the wire ``register`` message carries nothing else); every
+worker compiles the default plan, and spawned workers inherit the
+router's environment, so ``REPRO_THREADS`` pins their contraction width.
 """
 
 from .resilience import CircuitBreaker, RetryPolicy

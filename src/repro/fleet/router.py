@@ -59,7 +59,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import faults
-from ..infer import DEFAULT_CACHE_SIZE
 from ..serve import QueueFullError, ServeConfig
 from ..store import ArtifactStore, StoreRef
 from .resilience import CircuitBreaker, RetryPolicy
@@ -114,7 +113,7 @@ class FleetConfig:
 
     #: how many worker processes to run
     workers: int = 4
-    #: per-worker daemon configuration (batcher, queue depth, threads)
+    #: per-worker daemon configuration (batcher, queue depth, executor width)
     serve: ServeConfig = field(default_factory=ServeConfig)
     #: fleet-wide per-tenant bound on admitted images; 0 derives
     #: ``workers * serve.queue_depth``
@@ -176,9 +175,6 @@ class _TenantSpec:
 
     artifact: str          # what workers serve (manifest-hash ref if store)
     source: str            # what the caller registered (may be a mutable ref)
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE
-    strategy: str = "gemm"
-    threads: Optional[int] = None
 
 
 class _Pending:
@@ -400,28 +396,17 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Tenants
     # ------------------------------------------------------------------
-    def register(
-        self,
-        tenant: str,
-        artifact: str,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-        strategy: str = "gemm",
-        threads: Optional[int] = None,
-    ) -> str:
+    def register(self, tenant: str, artifact: str) -> str:
         """Register a tenant on every worker; returns the pinned artifact.
 
         Store refs are resolved to their manifest hash *here*, once, so
         all workers provably serve the same version and later ref flips
-        go through :meth:`rollout`, never through a race.  ``threads``
-        pins the contraction-engine thread count on every worker.
+        go through :meth:`rollout`, never through a race.
         """
         if not self._started:
             raise FleetError("start() the router before registering tenants")
         pinned, _, _ = _pin_artifact(artifact)
-        spec = _TenantSpec(
-            artifact=pinned, source=str(artifact),
-            cache_size=cache_size, strategy=strategy, threads=threads,
-        )
+        spec = _TenantSpec(artifact=pinned, source=str(artifact))
         with self._lock:
             self._tenants[tenant] = spec
             workers = [h for h in self._workers if h.alive]
@@ -436,11 +421,7 @@ class FleetRouter:
         artifact = artifact or spec.artifact
         self._call(
             handle,
-            {
-                "op": "register", "tenant": tenant, "artifact": artifact,
-                "cache_size": spec.cache_size, "strategy": spec.strategy,
-                "threads": spec.threads,
-            },
+            {"op": "register", "tenant": tenant, "artifact": artifact},
             timeout=self.config.request_timeout_ms / 1e3,
         )
         handle.tenants[tenant] = artifact
@@ -905,9 +886,7 @@ class FleetRouter:
                     self._flip(handle, tenant, spec, new_pinned)
             with self._lock:
                 self._tenants[tenant] = _TenantSpec(
-                    artifact=new_pinned, source=str(artifact),
-                    cache_size=spec.cache_size, strategy=spec.strategy,
-                    threads=spec.threads,
+                    artifact=new_pinned, source=str(artifact)
                 )
         except Exception as error:
             # roll back every worker no longer on the old artifact —

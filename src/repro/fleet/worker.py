@@ -15,7 +15,9 @@ router op         worker behaviour
                   and reply with logits, or with a typed error
                   (``queue_full`` is the retriable one the router
                   rebalances on)
-``register``      create/replace a tenant namespace (lazy compile)
+``register``      create/replace a tenant namespace from its ``tenant``
+                  and ``artifact`` fields (lazy compile of the default
+                  plan)
 ``probe``         force-compile a tenant's plan and report its shape —
                   the rollout step that proves a new artifact serves
                   before the worker re-enters rotation
@@ -43,7 +45,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..infer import DEFAULT_CACHE_SIZE
 from ..serve import (
     DaemonClosedError,
     QueueFullError,
@@ -170,13 +171,7 @@ async def _run(conn, name: str, config: ServeConfig) -> None:
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             elif op == "register":
-                daemon.register(
-                    message["tenant"],
-                    message["artifact"],
-                    cache_size=message.get("cache_size", DEFAULT_CACHE_SIZE),
-                    strategy=message.get("strategy", "gemm"),
-                    threads=message.get("threads"),
-                )
+                daemon.register(message["tenant"], message["artifact"])
                 replies.send(
                     {"op": "result", "id": message["id"], "ok": True}
                 )

@@ -47,7 +47,6 @@ Quickstart::
 
 from .cache import LruCache
 from .plan import (
-    DEFAULT_CACHE_SIZE,
     FloatStep,
     GlueFold,
     InferencePlan,
@@ -58,7 +57,6 @@ from .plan import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
     "FloatStep",
     "GlueFold",
     "InferencePlan",

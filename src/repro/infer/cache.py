@@ -41,7 +41,7 @@ class LruCache:
     stays resident; every other access is a hit).
     """
 
-    def __init__(self, maxsize: int = 8) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize

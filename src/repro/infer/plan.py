@@ -73,7 +73,6 @@ from ..deploy import ArtifactReader
 from .cache import LruCache
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
     "FloatStep",
     "GlueFold",
     "InferencePlan",
@@ -83,12 +82,6 @@ __all__ = [
     "PlanStep",
     "fold_threshold",
 ]
-
-#: ``cache_size`` default of artifact plans and of everything that
-#: builds them (daemon tenants, fleet workers, the CLI): ``None`` sizes
-#: the decoded-kernel LRU to hold every packed step of the artifact
-DEFAULT_CACHE_SIZE: Optional[int] = None
-
 
 class KernelEntry:
     """One decoded kernel: prepacked operand + lazy gemm operand.
@@ -366,7 +359,6 @@ class PackedConvStep(PlanStep):
         stride: int,
         padding: int,
         rsign: Optional[RSign] = None,
-        out_channel_chunk: int = 64,
         strategy: str = "gemm",
         label: str = "BinaryConv2d",
         threads: Optional[int] = None,
@@ -382,7 +374,6 @@ class PackedConvStep(PlanStep):
         self.stride = stride
         self.padding = padding
         self.rsign = rsign
-        self.out_channel_chunk = out_channel_chunk
         self.label = label
         self.telemetry = ContractionTelemetry()
         self.fold: Optional[GlueFold] = None
@@ -417,7 +408,6 @@ class PackedConvStep(PlanStep):
             num_bits,
             self.strategy,
             self.threads,
-            self.out_channel_chunk,
             kernel_signs=(
                 entry.signs() if self.strategy == "gemm" else None
             ),
@@ -441,8 +431,6 @@ class PackedDenseStep(PlanStep):
     """Bit-packed binary dense layer over {+1, -1} inputs."""
 
     kind = "packed_dense"
-    #: popcount's output-channel tile (bounds its xor intermediate)
-    out_channel_chunk = 64
 
     def __init__(
         self,
@@ -469,7 +457,6 @@ class PackedDenseStep(PlanStep):
             num_bits,
             self.strategy,
             self.threads,
-            self.out_channel_chunk,
             kernel_signs=(
                 entry.signs() if self.strategy == "gemm" else None
             ),
@@ -553,7 +540,6 @@ class InferencePlan:
     def from_model(
         cls,
         model: Sequential,
-        out_channel_chunk: int = 64,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> "InferencePlan":
@@ -579,17 +565,11 @@ class InferencePlan:
             if isinstance(layer, RSign) and isinstance(successor, BinaryConv2d):
                 layer.eval()
                 steps.append(
-                    cls._conv_step(
-                        successor, layer, out_channel_chunk, strategy, threads
-                    )
+                    cls._conv_step(successor, layer, strategy, threads)
                 )
                 index += 2
             elif isinstance(layer, BinaryConv2d):
-                steps.append(
-                    cls._conv_step(
-                        layer, None, out_channel_chunk, strategy, threads
-                    )
-                )
+                steps.append(cls._conv_step(layer, None, strategy, threads))
                 index += 1
             elif isinstance(layer, BinaryDense):
                 steps.append(
@@ -614,7 +594,6 @@ class InferencePlan:
     def _conv_step(
         conv: BinaryConv2d,
         rsign: Optional[RSign],
-        out_channel_chunk: int,
         strategy: str,
         threads: Optional[int] = None,
     ) -> PackedConvStep:
@@ -631,7 +610,6 @@ class InferencePlan:
             stride=conv.stride,
             padding=conv.padding,
             rsign=rsign,
-            out_channel_chunk=out_channel_chunk,
             strategy=strategy,
             label=label,
             threads=threads,
@@ -641,8 +619,7 @@ class InferencePlan:
     def from_artifact(
         cls,
         path,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-        out_channel_chunk: int = 64,
+        cache_size: Optional[int] = None,
         strategy: str = "gemm",
         threads: Optional[int] = None,
     ) -> "InferencePlan":
@@ -688,15 +665,14 @@ class InferencePlan:
                 steps.append(
                     cls._artifact_conv_step(
                         reader, cache, successor, reader.rebuild_layer(entry),
-                        out_channel_chunk, strategy, threads,
+                        strategy, threads,
                     )
                 )
                 index += 2
             elif entry["type"] == "BinaryConv2d":
                 steps.append(
                     cls._artifact_conv_step(
-                        reader, cache, entry, None,
-                        out_channel_chunk, strategy, threads,
+                        reader, cache, entry, None, strategy, threads
                     )
                 )
                 index += 1
@@ -714,7 +690,6 @@ class InferencePlan:
         cache: LruCache,
         entry: Dict,
         rsign: Optional[RSign],
-        out_channel_chunk: int,
         strategy: str,
         threads: Optional[int] = None,
     ) -> PackedConvStep:
@@ -742,7 +717,6 @@ class InferencePlan:
             stride=config["stride"],
             padding=config["padding"],
             rsign=rsign,
-            out_channel_chunk=out_channel_chunk,
             strategy=strategy,
             label=label,
             threads=threads,

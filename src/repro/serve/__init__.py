@@ -49,6 +49,12 @@ Quickstart::
 
     asyncio.run(main())
 
+The daemon serves one plan configuration, like the decoding unit's one
+fixed configuration per deployed model: a tenant is just a name and an
+artifact, compiled with :meth:`InferencePlan.from_artifact
+<repro.infer.plan.InferencePlan.from_artifact>`'s defaults.
+``REPRO_THREADS`` is the one contraction-width pin for serving.
+
 Exactness carries through: the daemon only *schedules*; every batch
 executes through the tenant's :class:`~repro.infer.plan.InferencePlan`,
 so each request's logits stay bit-identical to the float reference

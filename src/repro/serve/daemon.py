@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..infer import DEFAULT_CACHE_SIZE
 from .metrics import ServingMetrics
 from .tenants import Tenant, TenantRegistry, UnknownTenantError
 
@@ -60,10 +59,6 @@ class ServeConfig:
     workers: int = 2
     #: latency reservoir size per tenant (see ServingMetrics)
     latency_window: int = 8192
-    #: default contraction-engine thread count for registered tenants
-    #: (``None`` = automatic: ``default_threads()`` for contractions of
-    #: at least ``AUTO_THREADS_MIN_WORK`` MACs, serial below it)
-    threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -78,8 +73,6 @@ class ServeConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.threads is not None and self.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {self.threads}")
 
 
 class _Request:
@@ -163,28 +156,9 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # Tenant management
     # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        artifact: str,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-        strategy: str = "gemm",
-        threads: Optional[int] = None,
-    ) -> Tenant:
-        """Register (or replace) a tenant namespace; compiles lazily.
-
-        ``threads=None`` inherits the daemon-wide
-        :attr:`ServeConfig.threads` default.
-        """
-        if threads is None:
-            threads = self.config.threads
-        return self.registry.register(
-            name,
-            artifact,
-            cache_size=cache_size,
-            strategy=strategy,
-            threads=threads,
-        )
+    def register(self, name: str, artifact: str) -> Tenant:
+        """Register (or replace) a tenant namespace; compiles lazily."""
+        return self.registry.register(name, artifact)
 
     # ------------------------------------------------------------------
     # Request path
@@ -429,7 +403,6 @@ class ServingDaemon:
             "max_wait_ms": self.config.max_wait_ms,
             "queue_depth": self.config.queue_depth,
             "workers": self.config.workers,
-            "threads": self.config.threads,
         }
         snapshot["registry"] = self.registry.describe()
         return snapshot

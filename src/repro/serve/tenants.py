@@ -37,7 +37,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..infer import DEFAULT_CACHE_SIZE, InferencePlan
+from ..infer import InferencePlan
 from ..store import ArtifactStore, StoreRef
 
 __all__ = ["Tenant", "TenantRegistry", "UnknownTenantError"]
@@ -63,30 +63,17 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _artifact_version(path: str) -> VersionToken:
-    """Content hash of the artifact (uncached; see ``Tenant._probe``)."""
-    ref = StoreRef.coerce(path)
-    if ref is not None:
-        return ArtifactStore(ref.root, create=False).resolve(ref.name)
-    return _file_sha256(path)
-
-
 class Tenant:
-    """One serving namespace: an artifact source plus its compiled plan."""
+    """One serving namespace: an artifact source plus its compiled plan.
 
-    def __init__(
-        self,
-        name: str,
-        artifact: str,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-        strategy: str = "gemm",
-        threads: Optional[int] = None,
-    ) -> None:
+    The plan is always ``InferencePlan.from_artifact(artifact)`` with its
+    defaults (gemm contraction, automatic thread width, every packed
+    step cached); ``REPRO_THREADS`` pins the width process-wide.
+    """
+
+    def __init__(self, name: str, artifact: str) -> None:
         self.name = name
         self.artifact = str(artifact)
-        self.cache_size = cache_size
-        self.strategy = strategy
-        self.threads = threads
         self._lock = threading.RLock()
         self._plan: Optional[InferencePlan] = None
         self._pinned_version: Optional[VersionToken] = None
@@ -136,12 +123,7 @@ class Tenant:
                 or version != self._pinned_version
             ):
                 swapped = self._plan is not None
-                self._plan = InferencePlan.from_artifact(
-                    self.artifact,
-                    cache_size=self.cache_size,
-                    strategy=self.strategy,
-                    threads=self.threads,
-                )
+                self._plan = InferencePlan.from_artifact(self.artifact)
                 self._pinned_version = version
                 self._forced_stale = False
                 if swapped:
@@ -171,9 +153,6 @@ class Tenant:
             compiled = self._plan is not None
             return {
                 "artifact": self.artifact,
-                "cache_size": self.cache_size,
-                "strategy": self.strategy,
-                "threads": self.threads,
                 "compiled": compiled,
                 "swaps": self.swaps,
                 "version": self._pinned_version,
@@ -197,27 +176,14 @@ class TenantRegistry:
         self._lock = threading.Lock()
         self._tenants: Dict[str, Tenant] = {}
 
-    def register(
-        self,
-        name: str,
-        artifact: str,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-        strategy: str = "gemm",
-        threads: Optional[int] = None,
-    ) -> Tenant:
+    def register(self, name: str, artifact: str) -> Tenant:
         """Create (or replace) a tenant namespace.
 
         Registration is cheap — nothing is decoded or compiled until the
         tenant's first request arrives.  Re-registering a name replaces
         the namespace wholesale, dropping any compiled plan.
         """
-        tenant = Tenant(
-            name,
-            artifact,
-            cache_size=cache_size,
-            strategy=strategy,
-            threads=threads,
-        )
+        tenant = Tenant(name, artifact)
         with self._lock:
             self._tenants[name] = tenant
         return tenant

@@ -488,7 +488,7 @@ class RtlBackend(SimulationBackend):
         "packed_words",
     )
 
-    def __init__(self, engine: str = "auto", workers: Optional[int] = None):
+    def __init__(self, engine: str = "replay", workers: Optional[int] = None):
         if engine not in RtlDecodingUnit.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; "
@@ -647,7 +647,6 @@ class InferenceBackend(SimulationBackend):
         images: int = 32,
         batch: int = 32,
         engine: str = "packed",
-        out_channel_chunk: int = 64,
     ):
         if engine not in ("packed", "reference"):
             raise ValueError(
@@ -660,7 +659,6 @@ class InferenceBackend(SimulationBackend):
         self.images = images
         self.batch = batch
         self.engine = engine
-        self.out_channel_chunk = out_channel_chunk
 
     def run(self, context: SimulationContext) -> Dict[str, Any]:
         import time
@@ -680,9 +678,7 @@ class InferenceBackend(SimulationBackend):
             (self.images, *spec.input_shape)
         ).astype(np.float32)
 
-        plan = InferencePlan.from_model(
-            model, out_channel_chunk=self.out_channel_chunk
-        )
+        plan = InferencePlan.from_model(model)
 
         # per-image float reference: the oracle and the serving baseline
         start = time.perf_counter()

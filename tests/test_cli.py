@@ -121,6 +121,7 @@ class TestInferCommand:
         assert args.model == "small-bnn"
         assert args.batch == 32
         assert args.engine == "packed"
+        assert args.cache_size is None  # every packed step
 
     def test_runnable_model_infer(self, capsys):
         assert main(["infer", "--images", "8", "--batch", "4"]) == 0
@@ -200,6 +201,14 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    @pytest.mark.parametrize("flag", ["--threads", "--cache-size"])
+    def test_plan_knobs_rejected(self, flag):
+        """Serving compiles the default plan; REPRO_THREADS pins width."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--artifact", "m.npz", flag, "1"]
+            )
+
     def test_serve_prints_metrics_json(self, capsys, tmp_path):
         from repro.bnn.reactnet import build_small_bnn
         from repro.deploy import save_compressed_model
@@ -243,6 +252,13 @@ class TestFleetCommand:
     def test_artifact_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "run"])
+
+    @pytest.mark.parametrize("flag", ["--threads", "--cache-size"])
+    def test_plan_knobs_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fleet", "run", "--artifact", "m.npz", flag, "1"]
+            )
 
     def test_action_choices(self):
         for action in ("run", "rollout", "status"):

@@ -305,6 +305,9 @@ def test_default_threads_env_pin(monkeypatch):
     assert default_threads() == 3
     monkeypatch.setenv("REPRO_THREADS", "0")
     assert default_threads() == 1
+    # the pin obeys the pool cap too (pure: no pool, no threads built)
+    monkeypatch.setenv("REPRO_THREADS", "10000")
+    assert default_threads() == 16
     monkeypatch.setenv("REPRO_THREADS", "many")
     with pytest.raises(ValueError, match="REPRO_THREADS"):
         default_threads()

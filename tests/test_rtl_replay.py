@@ -242,14 +242,6 @@ class TestWindowedSchedule:
 
 
 class TestEngineSelection:
-    def test_auto_equals_forced_replay(self):
-        stream, sequences = build_stream(11, 200, 0.4)
-        auto = RtlDecodingUnit(memory_latency=9, engine="auto").run(stream)
-        forced = RtlDecodingUnit(memory_latency=9, engine="replay").run(stream)
-        assert np.array_equal(auto[0], forced[0])
-        assert auto[1] == forced[1]
-        assert auto[2] == forced[2]
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             RtlDecodingUnit(engine="verilog")
@@ -270,21 +262,22 @@ class TestEngineSelection:
         assert stats.sequences_decoded == 64
 
     def test_auto_never_ticks_fsm_outside_envelope(self, monkeypatch):
+        """The default engine never ticks the FSM, even outside the
+        analytic envelope."""
         stream, sequences = build_stream(5, 64, 0.5)
-        auto = RtlDecodingUnit(
-            memory_latency=3, parse_rate=3, engine="auto"
-        )
+        default = RtlDecodingUnit(memory_latency=3, parse_rate=3)
+        assert default.engine == "replay"
         fsm = RtlDecodingUnit(memory_latency=3, parse_rate=3, engine="fsm")
         fsm_out = fsm.run(stream)
 
         def forbid_fsm(self, stream):
-            raise AssertionError("auto must not tick the FSM")
+            raise AssertionError("the default engine must not tick the FSM")
 
         monkeypatch.setattr(RtlDecodingUnit, "run_fsm", forbid_fsm)
-        auto_out = auto.run(stream)
-        assert np.array_equal(auto_out[0], sequences)
-        assert auto_out[1] == fsm_out[1]
-        assert auto_out[2] == fsm_out[2]
+        default_out = default.run(stream)
+        assert np.array_equal(default_out[0], sequences)
+        assert default_out[1] == fsm_out[1]
+        assert default_out[2] == fsm_out[2]
 
     def test_replay_run_direct_api(self):
         stream, sequences = build_stream(21, 128, 0.3)

@@ -124,6 +124,30 @@ class TestCoalescing:
             logits[None], _oracle(artifact, _images(1))
         )
 
+    def test_snapshot_surfaces_the_plan_telemetry(self, tmp_path):
+        """Serving reports the default plan's contraction counters and
+        no per-tenant plan knobs: one plan configuration is served."""
+        artifact = _save_artifact(tmp_path, seed=3)
+        images = _images(4)
+        daemon = ServingDaemon(
+            ServeConfig(max_batch=4, max_wait_ms=500, queue_depth=32)
+        )
+        daemon.register("t0", str(artifact))
+
+        async def drive():
+            async with daemon:
+                return await daemon.submit_batch("t0", images)
+
+        logits = asyncio.run(drive())
+        assert np.array_equal(logits, _oracle(artifact, images))
+        snapshot = daemon.snapshot()
+        row = snapshot["registry"]["t0"]
+        assert row["contraction"]["gemm"]["calls"] >= 1
+        assert row["kernel_cache"]["misses"] >= 1
+        for knob in ("strategy", "threads", "cache_size"):
+            assert knob not in row
+        assert "threads" not in snapshot["config"]
+
     def test_unknown_tenant_rejected(self, tmp_path):
         daemon = ServingDaemon()
 
